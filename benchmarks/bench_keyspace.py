@@ -49,7 +49,6 @@ from repro.analysis import (
     run_keyspace_sweep,
 )
 from repro.analysis.benchgate import metric, write_bench_summary
-from repro.analysis.sweeps import run_keyspace_sweep as serial_sweep
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -239,7 +238,7 @@ class TestKeyspaceBenchSmoke:
         its Theorem 1 floor, and hot-key skew widens the coded-only vs
         adaptive gap (the heavier sweep-axis matrix lives in
         tests/keyspace/test_sweep.py)."""
-        result = serial_sweep(build_cells(QUICK))
+        result = run_keyspace_sweep(build_cells(QUICK), workers=1)
         assert keyspace_shape_violations(result) == []
         ratios = keyspace_advantage_ratios(result)
         assert ratios["hotspot"] > ratios["uniform"] > 1.0

@@ -2,8 +2,8 @@
 
 Sweep cells are independent and seed-deterministic, so the crossover
 grids should scale with cores, not with one Python process. This
-benchmark drives the parallel executor
-(:func:`repro.analysis.executor.run_sweep`) against the serial engine on
+benchmark drives :func:`repro.analysis.executor.run_sweep` pooled against
+its own in-process ``workers=1`` reference (the serial loop) on
 a reference scenario grid (two scenarios — the uniform wave and
 churn-with-crashes — over an (f, k, c) regime block) and checks the two
 contracts the executor makes:
@@ -48,7 +48,6 @@ from repro.analysis import (
     sweep_cells,
 )
 from repro.analysis.benchgate import metric, write_bench_summary
-from repro.analysis.sweeps import run_sweep as serial_run_sweep
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -112,7 +111,7 @@ def run(
          f"host cpus={os.cpu_count()}")
 
     serial, serial_s = _timed(
-        lambda: serial_run_sweep(grid, scenarios=SCENARIOS)
+        lambda: run_sweep(grid, scenarios=SCENARIOS, workers=1)
     )
     reference = serial.to_json(include_timing=False)
     echo(f"  serial          {serial_s:7.2f} s  "
@@ -251,7 +250,7 @@ class TestParallelSweepSmoke:
         matrix lives in tests/analysis/test_executor.py)."""
         grid = build_grid(TEST_GRID)
         checkpoint = tmp_path / "sweep.journal.jsonl"
-        serial = serial_run_sweep(grid, scenarios=SCENARIOS)
+        serial = run_sweep(grid, scenarios=SCENARIOS, workers=1)
         pooled = run_sweep(grid, scenarios=SCENARIOS, workers=2,
                            checkpoint=checkpoint)
         assert pooled.to_json(include_timing=False) == \

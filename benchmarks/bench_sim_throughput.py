@@ -37,8 +37,8 @@ import json
 import pathlib
 import time
 
+from repro.analysis import SweepGrid, SweepPoint, run_sweep
 from repro.analysis.benchgate import metric, write_bench_summary
-from repro.analysis.sweeps import SweepGrid, SweepPoint, run_sweep
 from repro.coding import DecodeShareCache
 from repro.registers import AdaptiveRegister, RegisterSetup
 from repro.sim import FairScheduler, Simulation

@@ -1,44 +1,25 @@
-"""Benchmark-output helpers: tables, units, sweeps, series shape checks.
+"""Benchmark-output helpers: tables, units, bounds, sweeps, shape checks.
 
-``run_sweep`` re-exported here is the parallel-capable executor
-(:mod:`repro.analysis.executor`), a drop-in superset of the serial
-engine in :mod:`repro.analysis.sweeps` — identical behaviour (and
-byte-identical results) at the default ``workers=1``.
+The closed-form bounds (:mod:`repro.analysis.bounds`) and table helpers
+(:mod:`repro.analysis.tables`) are imported eagerly — they are a few
+formulas. The sweep engine (:mod:`repro.analysis.executor` on top of
+:mod:`repro.analysis.sweeps`) pulls in every register, the workload
+runner and ``multiprocessing``, so its names resolve on first use: the
+TCP service and the keyspace runner import ``repro.analysis.bounds`` for
+one formula without loading (or cycling through) the engine.
+
+``run_sweep``/``run_keyspace_sweep`` are the one engine
+(:mod:`repro.analysis.executor`); ``workers=1`` is the in-process
+reference that pooled runs are byte-compared against.
 """
 
-from repro.analysis.executor import (
-    SweepJournal,
-    default_chunk_size,
-    run_keyspace_sweep,
-    run_sweep,
-    sweep_signature,
-)
-from repro.analysis.sweeps import (
-    KEYSPACE_TABLE_COLUMNS,
-    RECORD_METADATA_FIELDS,
-    REGISTER_REGISTRY,
-    SCENARIO_PATTERNS,
-    UNIFORM_SCENARIO,
-    KeyspaceRecord,
-    KeyspaceSweepResult,
-    Scenario,
-    SweepGrid,
-    SweepPoint,
-    SweepRecord,
-    SweepResult,
+from importlib import import_module
+
+from repro.analysis.bounds import (
     adaptive_upper_bound_bits,
-    crossover_shape_violations,
     disintegrated_bound_bits,
-    execute_cell,
-    execute_keyspace_cell,
-    keyspace_advantage_ratios,
-    keyspace_grid,
-    keyspace_shape_violations,
     lrc_max_dimension,
     lrc_storage_floor_bits,
-    register_uses_k,
-    render_crossover_blocks,
-    sweep_cells,
     theorem1_bound_bits,
 )
 from repro.analysis.tables import (
@@ -51,8 +32,19 @@ from repro.analysis.tables import (
     monotone_nondecreasing,
 )
 
+
+def __getattr__(name: str):
+    """Resolve a sweep-engine export on first use (see the module docstring)."""
+    if name in __all__:
+        for home in ("sweeps", "executor"):
+            module = import_module(f"{__name__}.{home}")
+            if hasattr(module, name):
+                globals()[name] = getattr(module, name)
+                return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 __all__ = [
-    "KEYSPACE_TABLE_COLUMNS",
     "KeyspaceRecord",
     "KeyspaceSweepResult",
     "RECORD_METADATA_FIELDS",

@@ -1,24 +1,24 @@
-"""Parallel sweep execution: pool fan-out, deterministic merge, resume.
+"""The sweep engine: one pooled cell runner, deterministic merge, resume.
 
-:func:`repro.analysis.sweeps.run_sweep` executes every ``scenario x
-grid-point`` cell serially in one process. Cells are fully independent
-and seed-deterministic — each record is a pure function of its
-``(scenario, point)`` cell plus the engine knobs — which makes the sweep
-an ideal process-pool workload. This module is the multi-core superset:
+Sweep cells are fully independent and seed-deterministic — each record is
+a pure function of its cell plus the engine knobs — which makes a sweep an
+ideal process-pool workload. This module is the one engine that runs them:
 
-* :func:`run_sweep` — the same signature plus ``workers``, ``checkpoint``
-  and ``resume``. ``workers > 1`` partitions the cell list across a
-  ``multiprocessing`` **spawn** pool (spawn, not fork: workers re-import
-  the package and rebuild schemes, oracles and GF tables in their own
-  process, so no simulator state is ever shared or inherited mid-run).
-  Cells are dispatched in contiguous chunks to amortise pickling and
-  startup, results stream back in completion order, and the merge reorders
-  them into the serial cell order — so the resulting
-  :class:`~repro.analysis.sweeps.SweepResult` is **byte-identical to the
-  serial run for any worker count** once the per-record execution metadata
-  (``wall_clock_s``, ``worker``, ``coding_backend``) is stripped:
-  ``to_json(include_timing=False)`` compares equal across ``workers`` ∈
-  {1, 2, 4, ...}, crash firing records and overlay curves included.
+* :func:`run_sweep` / :func:`run_keyspace_sweep` — build the cell list and
+  hand it to the one pooled cell runner. ``workers=1`` (the default) is
+  the **in-process reference**: a plain ``for cell: execute_cell(...)``
+  loop, no pool, no pickling. ``workers > 1`` partitions the same cell
+  list across a ``multiprocessing`` **spawn** pool (spawn, not fork:
+  workers re-import the package and rebuild schemes, oracles and GF tables
+  in their own process, so no simulator state is ever shared or inherited
+  mid-run). Cells are dispatched in contiguous chunks to amortise pickling
+  and startup, results stream back in completion order, and the merge
+  reorders them into cell order — so the result is **byte-identical to
+  the ``workers=1`` run for any worker count** once the per-record
+  execution metadata (``wall_clock_s``, ``worker``, ``coding_backend``)
+  is stripped: ``to_json(include_timing=False)`` compares equal across
+  ``workers`` ∈ {1, 2, 4, ...}, crash firing records and overlay curves
+  included.
 
 * checkpoint/resume — with ``checkpoint=path`` every completed cell is
   appended to a JSONL journal as it finishes (single writer: the parent
@@ -27,11 +27,12 @@ an ideal process-pool workload. This module is the multi-core superset:
   journal header pins a SHA-256 hash of the full cell list and engine
   knobs; resuming against a different grid, scenario set, or knob value
   raises :class:`~repro.errors.CheckpointError` instead of silently
-  merging incompatible measurements. A truncated trailing line (the
-  classic kill-mid-write artifact) is tolerated and recomputed; corruption
-  anywhere else raises.
+  merging incompatible measurements. The file is a
+  :class:`repro.journal.SignedJournal`: unterminated trailing text (the
+  classic kill-mid-write artifact) is ignored and that cell recomputed; a
+  newline-terminated line that does not parse raises.
 
-The cell runner itself lives in :mod:`repro.analysis.sweeps`
+The per-cell work itself lives in :mod:`repro.analysis.sweeps`
 (:func:`~repro.analysis.sweeps.execute_cell`); this module only decides
 *where* each cell runs and in what order results are stitched together.
 """
@@ -46,7 +47,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.analysis.sweeps import (
-    KeyspaceRecord,
     KeyspaceSweepResult,
     Scenario,
     SweepGrid,
@@ -60,12 +60,7 @@ from repro.analysis.sweeps import (
 )
 from repro.coding import backends as coding_backends
 from repro.errors import CheckpointError, ParameterError
-
-#: Journal file format version (independent of the sweep JSON schema).
-JOURNAL_VERSION = 1
-
-#: Magic string identifying a sweep journal header line.
-JOURNAL_MAGIC = "repro-sweep-journal"
+from repro.journal import SignedJournal
 
 
 # ------------------------------------------------------------ cell hashing
@@ -100,143 +95,49 @@ def sweep_signature(
 # ---------------------------------------------------------------- journal
 
 
-class SweepJournal:
+class SweepJournal(SignedJournal):
     """Append-only JSONL checkpoint of completed sweep cells.
 
     Line 0 is a header pinning the sweep signature and cell count; every
     further line is one completed cell: ``{"cell": index, "record":
-    {...}}`` with ``index`` the cell's position in the serial
+    {...}}`` with ``index`` the cell's position in the
     :func:`~repro.analysis.sweeps.sweep_cells` order. The parent process
-    is the only writer, so the file needs no locking; each line is
-    flushed as it is written, so the worst interruption artifact is one
-    truncated trailing line — which :meth:`load` tolerates (that cell is
-    simply recomputed). Everything else that does not parse, or that
-    belongs to a different sweep, raises
-    :class:`~repro.errors.CheckpointError`.
+    is the only writer, so the file needs no locking; unterminated
+    trailing text left by an interruption is ignored (that cell is simply
+    recomputed), and anything else that does not parse, or that belongs to
+    a different sweep, raises :class:`~repro.errors.CheckpointError`.
     """
 
-    def __init__(self, path: str | Path, signature: str, total_cells: int):
-        self.path = Path(path)
-        self.signature = signature
-        self.total_cells = total_cells
-        self._handle = None
+    MAGIC = "repro-sweep-journal"
+    OWNER = "sweep"
 
-    # ------------------------------------------------------------- reading
+    def __init__(self, path: str | Path, signature: str, total_cells: int):
+        super().__init__(path, signature, total_cells=total_cells)
+        self.total_cells = total_cells
 
     def load(self) -> dict[int, SweepRecord]:
-        """Completed cells from an existing journal, validated.
+        """Completed cells from an existing journal, by cell index.
 
         Returns ``{}`` when the journal does not exist yet. Raises
         :class:`~repro.errors.CheckpointError` when the header is missing
-        or pins a different sweep (grid, scenarios, or engine knobs), when
-        a cell index falls outside the grid, or when any line other than
-        the final one is malformed.
+        or pins a different sweep (grid, scenarios, engine knobs, or cell
+        count), when a cell index falls outside the grid, or when any
+        newline-terminated line is malformed.
         """
-        if not self.path.exists():
-            return {}
-        lines = self.path.read_text().splitlines()
-        if not lines:
-            return {}
-        header = self._parse_line(lines[0], line_number=1)
-        if header is None or header.get("journal") != JOURNAL_MAGIC:
-            raise CheckpointError(
-                f"{self.path}: not a sweep journal (missing header)"
-            )
-        if header.get("journal_version") != JOURNAL_VERSION:
-            raise CheckpointError(
-                f"{self.path}: unsupported journal version "
-                f"{header.get('journal_version')!r}"
-            )
-        if header.get("signature") != self.signature:
-            raise CheckpointError(
-                f"{self.path}: journal was written for a different sweep "
-                f"(signature {header.get('signature')!r} != "
-                f"{self.signature!r}); refusing to merge its cells"
-            )
-        if header.get("total_cells") != self.total_cells:
-            raise CheckpointError(
-                f"{self.path}: journal covers {header.get('total_cells')!r} "
-                f"cells, this sweep has {self.total_cells}"
-            )
-        done: dict[int, SweepRecord] = {}
-        for number, line in enumerate(lines[1:], start=2):
-            entry = self._parse_line(
-                line, line_number=number, tolerate=(number == len(lines))
-            )
-            if entry is None:  # tolerated truncated trailing line
-                continue
-            try:
-                index = entry["cell"]
-                record = SweepRecord(**entry["record"])
-            except (KeyError, TypeError) as error:
-                raise CheckpointError(
-                    f"{self.path}:{number}: malformed journal entry: {error}"
-                ) from error
-            if not 0 <= index < self.total_cells:
-                raise CheckpointError(
-                    f"{self.path}:{number}: cell index {index} outside the "
-                    f"sweep's {self.total_cells} cells"
-                )
-            done[index] = record
-        return done
+        return dict(super().load())
 
-    def _parse_line(
-        self, line: str, *, line_number: int, tolerate: bool = False
-    ) -> dict | None:
-        try:
-            parsed = json.loads(line)
-        except json.JSONDecodeError as error:
-            if tolerate:
-                return None
-            raise CheckpointError(
-                f"{self.path}:{line_number}: corrupt journal line: {error}"
-            ) from error
-        if not isinstance(parsed, dict):
-            raise CheckpointError(
-                f"{self.path}:{line_number}: journal line is not an object"
+    def _decode(self, entry: dict) -> tuple[int, SweepRecord]:
+        index = entry["cell"]
+        if not 0 <= index < self.total_cells:
+            raise ValueError(
+                f"cell index {index} outside the sweep's "
+                f"{self.total_cells} cells"
             )
-        return parsed
-
-    # ------------------------------------------------------------- writing
-
-    def open_for_append(self, fresh: bool) -> None:
-        """Open the journal for appending; write the header when fresh.
-
-        When appending to an existing journal, a truncated trailing line
-        (tolerated by :meth:`load`) is trimmed back to the last complete
-        line first — appending straight after the partial text would fuse
-        two entries into one permanently corrupt line, breaking every
-        later resume.
-        """
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        existed = self.path.exists() and self.path.stat().st_size > 0
-        if existed and not fresh:
-            text = self.path.read_text()
-            if not text.endswith("\n"):
-                text = text[: text.rfind("\n") + 1]
-                self.path.write_text(text)
-                existed = bool(text)  # rewrite the header if nothing left
-        self._handle = open(self.path, "w" if fresh else "a")
-        if fresh or not existed:
-            self._write_line({
-                "journal": JOURNAL_MAGIC,
-                "journal_version": JOURNAL_VERSION,
-                "signature": self.signature,
-                "total_cells": self.total_cells,
-            })
+        return index, SweepRecord(**entry["record"])
 
     def append(self, index: int, record: SweepRecord) -> None:
         """Persist one completed cell (flushed immediately)."""
         self._write_line({"cell": index, "record": asdict(record)})
-
-    def _write_line(self, payload: dict) -> None:
-        self._handle.write(json.dumps(payload, sort_keys=True) + "\n")
-        self._handle.flush()
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
 
 
 # ------------------------------------------------------------ worker side
@@ -254,32 +155,23 @@ def _worker_number() -> int:
     return int(digits) if digits.isdigit() else 0
 
 
-def _run_chunk(
-    payload: tuple[list[int], list[tuple[Scenario, SweepPoint]], dict],
-) -> list[tuple[int, SweepRecord]]:
+def _run_chunk(payload: tuple[Callable, list[int], list[tuple], dict]) -> list:
     """Pool entrypoint: run one contiguous chunk of cells.
 
     Executed in a spawned worker process, so ``repro`` (schemes, oracles,
     GF tables) is freshly imported and rebuilt per process — nothing is
-    inherited from the parent. Must stay a module-level function: spawn
-    pickles it by qualified name.
+    inherited from the parent. Must stay a module-level function, as must
+    ``execute``: spawn pickles both by qualified name.
     """
-    indices, chunk_cells, kwargs = payload
+    execute, indices, chunk_cells, kwargs = payload
     worker = _worker_number()
     return [
-        (index, execute_cell(scenario, point, worker=worker, **kwargs))
-        for index, (scenario, point) in zip(indices, chunk_cells)
+        (index, execute(*cell, worker=worker, **kwargs))
+        for index, cell in zip(indices, chunk_cells)
     ]
 
 
 # ----------------------------------------------------------------- engine
-
-
-def _chunked(pending: list[int], chunk_size: int) -> list[list[int]]:
-    return [
-        pending[start:start + chunk_size]
-        for start in range(0, len(pending), chunk_size)
-    ]
 
 
 def default_chunk_size(pending: int, workers: int) -> int:
@@ -294,105 +186,70 @@ def default_chunk_size(pending: int, workers: int) -> int:
     return max(1, min(32, -(-pending // (workers * 4))))
 
 
-def run_sweep(
-    grid: SweepGrid,
+def _run_cells(
+    cells: Sequence[tuple],
+    execute: Callable,
+    kwargs: dict,
     *,
-    scenarios: Sequence[Scenario] | None = None,
-    writes_per_writer: int = 1,
-    readers: int = 0,
-    max_steps: int = 400_000,
-    lrc_locality: int = 2,
-    audit_storage_every: int = 0,
-    progress: Callable[[int, int, SweepPoint], None] | None = None,
-    workers: int = 1,
-    checkpoint: str | Path | None = None,
-    resume: bool = False,
-    chunk_size: int | None = None,
-    coding_backend: str | None = None,
-) -> SweepResult:
-    """Execute every ``scenario x grid-point`` cell, optionally in parallel.
+    workers: int,
+    chunk_size: int | None,
+    coding_backend: str | None,
+    journal: SweepJournal | None = None,
+    progress: Callable[[int, int, tuple], None] | None = None,
+) -> list:
+    """Run ``execute(*cell, **kwargs)`` for every cell; records in cell order.
 
-    A drop-in superset of :func:`repro.analysis.sweeps.run_sweep`:
+    The one cell runner behind :func:`run_sweep` and
+    :func:`run_keyspace_sweep`. ``workers=1`` (or at most one pending
+    cell) loops in-process — the reference the pooled path is
+    byte-compared against; otherwise contiguous chunks of the pending
+    cells go to a spawn pool (``execute`` must be a module-level callable)
+    and results are merged back into cell order as they arrive.
 
-    * ``workers`` — pool size. ``1`` (the default) runs in-process and is
-      behaviourally identical to the serial engine. ``N > 1`` fans the
-      cell list out across an ``N``-process spawn pool; the merged result
-      is byte-identical to the serial run under
-      ``to_json(include_timing=False)`` for any ``N``.
-    * ``checkpoint`` — JSONL journal path. Completed cells stream to it;
-      pass ``resume=True`` to load previously completed cells instead of
-      recomputing them. A journal written for a different sweep
-      (different cells, scenarios, or engine knobs) raises
-      :class:`~repro.errors.CheckpointError`. Without ``resume``, an
-      existing non-empty checkpoint also raises — an append-only journal
-      is never silently overwritten.
-    * ``chunk_size`` — cells per pool task (default:
-      :func:`default_chunk_size`).
-    * ``coding_backend`` — GF kernel name for every cell (defaults to the
-      process's active backend). Spawn workers re-import ``repro`` and
-      would otherwise fall back to the default backend, so the resolved
-      *name* travels in the pickled chunk payload and each worker
-      re-resolves it via ``use_backend``. Backends are byte-identical, so
-      this is an execution knob like ``workers`` — deliberately excluded
-      from the checkpoint signature.
-
-    ``progress`` is called as ``progress(done, total, point)`` after each
-    cell completes — in completion order, which under a pool is not the
-    cell order (the merged result always is).
+    ``coding_backend`` (``None``: the process's active backend) is
+    resolved to a *name* that rides ``kwargs`` — spawn workers re-import
+    ``repro`` and would otherwise fall back to the default kernel. With a
+    ``journal``, cells it already holds are not recomputed and every newly
+    finished cell is appended as it completes. ``progress(done, total,
+    cell)`` fires after each computed cell, in completion order.
     """
     if workers < 1:
         raise ParameterError("workers must be >= 1")
-    scenario_tuple = normalize_scenarios(scenarios, writes_per_writer,
-                                         readers)
-    cells = sweep_cells(grid, scenario_tuple)
     backend_name = (
         coding_backends.use_backend(coding_backend).name
         if coding_backend is not None
         else coding_backends.get_backend().name
     )
-    knobs = dict(
-        max_steps=max_steps,
-        lrc_locality=lrc_locality,
-        audit_storage_every=audit_storage_every,
-    )
-    signature = sweep_signature(cells, **knobs)
-    kwargs = dict(knobs, coding_backend=backend_name)
-
-    journal = None
-    done: dict[int, SweepRecord] = {}
-    if checkpoint is not None:
-        journal = SweepJournal(checkpoint, signature, len(cells))
-        if resume:
-            done = journal.load()
-        elif journal.path.exists() and journal.path.stat().st_size > 0:
-            raise CheckpointError(
-                f"{journal.path}: checkpoint exists; pass resume=True to "
-                "continue it or delete the file to start over"
-            )
-        journal.open_for_append(fresh=not resume)
-
+    kwargs = dict(kwargs, coding_backend=backend_name)
+    done: dict[int, object] = {}
+    if journal is not None:
+        done = journal.load()
+        journal.open_for_append()
     pending = [index for index in range(len(cells)) if index not in done]
     completed = len(done)
 
-    def finish(index: int, record: SweepRecord) -> None:
+    def finish(index: int, record: object) -> None:
         nonlocal completed
         done[index] = record
         completed += 1
         if journal is not None:
             journal.append(index, record)
         if progress is not None:
-            progress(completed, len(cells), cells[index][1])
+            progress(completed, len(cells), cells[index])
 
     try:
         if workers == 1 or len(pending) <= 1:
             for index in pending:
-                scenario, point = cells[index]
-                finish(index, execute_cell(scenario, point, **kwargs))
+                finish(index, execute(*cells[index], **kwargs))
         else:
             size = chunk_size or default_chunk_size(len(pending), workers)
+            chunks = [
+                pending[start:start + size]
+                for start in range(0, len(pending), size)
+            ]
             payloads = [
-                (chunk, [cells[index] for index in chunk], kwargs)
-                for chunk in _chunked(pending, size)
+                (execute, chunk, [cells[index] for index in chunk], kwargs)
+                for chunk in chunks
             ]
             context = multiprocessing.get_context("spawn")
             pool_size = min(workers, len(payloads))
@@ -403,27 +260,91 @@ def run_sweep(
     finally:
         if journal is not None:
             journal.close()
-
-    return SweepResult([done[index] for index in range(len(cells))])
-
-
-# ------------------------------------------------------- keyspace sweeps
+    return [done[index] for index in range(len(cells))]
 
 
-def _run_keyspace_chunk(
-    payload: tuple[list[int], list, dict],
-) -> list[tuple[int, KeyspaceRecord]]:
-    """Pool entrypoint: run one contiguous chunk of keyspace cells.
+def run_sweep(
+    grid: SweepGrid,
+    *,
+    scenarios: Sequence[Scenario] | None = None,
+    max_steps: int = 400_000,
+    lrc_locality: int = 2,
+    audit_storage_every: int = 0,
+    progress: Callable[[int, int, SweepPoint], None] | None = None,
+    workers: int = 1,
+    checkpoint: str | Path | None = None,
+    resume: bool = False,
+    chunk_size: int | None = None,
+    coding_backend: str | None = None,
+) -> SweepResult:
+    """Execute every ``scenario x grid-point`` cell; return the results.
 
-    The keyspace twin of :func:`_run_chunk` — same spawn semantics, same
-    module-level pickling requirement.
+    ``scenarios`` defaults to the single crash-free uniform wave; passing
+    a sequence runs the whole grid once per scenario, scenario-major, so a
+    result groups into per-scenario overlay curves. Each cell runs under
+    the deterministic fair scheduler with its scenario's seed-derived crash
+    plan, so the whole sweep is reproducible from the grid alone (same grid
+    and scenarios, same result — byte-identical
+    ``to_json(include_timing=False)`` documents, crash victims and firing
+    order included; each record additionally carries its measured
+    ``wall_clock_s``, which is not deterministic). Every cell's write wave
+    is pre-encoded in one stacked
+    :class:`~repro.coding.oracles.BatchEncodePlan` pass — by the runner for
+    uniform waves, by the pattern builders otherwise — so a 500-writer cell
+    costs one ``encode_batch`` call, not 500 encodes.
+
+    * ``audit_storage_every = N`` cross-checks the incremental storage
+      ledger against the full-walk reference meter every ``N`` actions in
+      every cell (CI smoke runs use ``N = 1``: the ledger-vs-reference
+      parity audit at literally every action of every scenario x register
+      cell).
+    * ``workers`` — pool size. ``1`` (the default) runs every cell
+      in-process — the reference. ``N > 1`` fans the cell list out across
+      an ``N``-process spawn pool; the merged result is byte-identical to
+      the ``workers=1`` run under ``to_json(include_timing=False)`` for
+      any ``N``.
+    * ``checkpoint`` — JSONL journal path. Completed cells stream to it;
+      pass ``resume=True`` to load previously completed cells instead of
+      recomputing them. A journal written for a different sweep
+      (different cells, scenarios, or engine knobs) raises
+      :class:`~repro.errors.CheckpointError`. Without ``resume``, an
+      existing non-empty checkpoint also raises — an append-only journal
+      is never silently overwritten.
+    * ``chunk_size`` — cells per pool task (default:
+      :func:`default_chunk_size`).
+    * ``coding_backend`` — GF kernel name for every cell (defaults to the
+      process's active backend). Backends are byte-identical, so this is
+      an execution knob like ``workers`` — deliberately excluded from the
+      checkpoint signature.
+
+    ``progress`` is called as ``progress(done, total, point)`` after each
+    cell completes — in completion order, which under a pool is not the
+    cell order (the merged result always is).
     """
-    indices, chunk_cells, kwargs = payload
-    worker = _worker_number()
-    return [
-        (index, execute_keyspace_cell(spec, worker=worker, **kwargs))
-        for index, spec in zip(indices, chunk_cells)
-    ]
+    cells = sweep_cells(grid, normalize_scenarios(scenarios))
+    knobs = dict(
+        max_steps=max_steps,
+        lrc_locality=lrc_locality,
+        audit_storage_every=audit_storage_every,
+    )
+    journal = None
+    if checkpoint is not None:
+        journal = SweepJournal(
+            checkpoint, sweep_signature(cells, **knobs), len(cells)
+        )
+        if (not resume and journal.path.exists()
+                and journal.path.stat().st_size > 0):
+            raise CheckpointError(
+                f"{journal.path}: checkpoint exists; pass resume=True to "
+                "continue it or delete the file to start over"
+            )
+    return SweepResult(_run_cells(
+        cells, execute_cell, knobs, workers=workers, chunk_size=chunk_size,
+        coding_backend=coding_backend, journal=journal,
+        progress=progress and (
+            lambda done, total, cell: progress(done, total, cell[1])
+        ),
+    ))
 
 
 def run_keyspace_sweep(
@@ -436,57 +357,25 @@ def run_keyspace_sweep(
     chunk_size: int | None = None,
     coding_backend: str | None = None,
 ) -> KeyspaceSweepResult:
-    """Execute keyspace cells, optionally across a spawn pool.
+    """Execute keyspace cells, in-process or across a spawn pool.
 
-    A drop-in superset of
-    :func:`repro.analysis.sweeps.run_keyspace_sweep`: keyspace cells are
-    pure functions of their spec (sampling is SHA-256-derived, the ring
-    is deterministic), so the pooled merge is byte-identical to the
-    serial run under ``to_json(include_timing=False)`` for any worker
-    count — the same contract as the register-sweep executor. Keyspace
-    grids are small (a handful of heavy cells), so there is no
-    checkpoint journal; an interrupted sweep just reruns.
+    Keyspace cells are pure functions of their spec (sampling is
+    SHA-256-derived, the ring is deterministic), so the pooled merge is
+    byte-identical to the ``workers=1`` run under
+    ``to_json(include_timing=False)`` for any worker count — the same
+    contract, and the same cell runner, as :func:`run_sweep`. Keyspace
+    grids are small (a handful of heavy cells), so there is no checkpoint
+    journal; an interrupted sweep just reruns.
 
-    ``coding_backend`` works exactly as on :func:`run_sweep`: the
-    resolved name rides the pickled payload so spawn workers re-activate
-    the parent's kernel choice.
+    ``workers``, ``chunk_size`` and ``coding_backend`` work exactly as on
+    :func:`run_sweep`; ``progress`` is called as ``progress(done, total)``.
     """
-    if workers < 1:
-        raise ParameterError("workers must be >= 1")
-    cells = list(cells)
-    backend_name = (
-        coding_backends.use_backend(coding_backend).name
-        if coding_backend is not None
-        else coding_backends.get_backend().name
-    )
-    kwargs = dict(
-        max_steps=max_steps, audit_storage_every=audit_storage_every,
-        coding_backend=backend_name,
-    )
-    done: dict[int, KeyspaceRecord] = {}
-    completed = 0
-
-    def finish(index: int, record: KeyspaceRecord) -> None:
-        nonlocal completed
-        done[index] = record
-        completed += 1
-        if progress is not None:
-            progress(completed, len(cells))
-
-    if workers == 1 or len(cells) <= 1:
-        for index, spec in enumerate(cells):
-            finish(index, execute_keyspace_cell(spec, **kwargs))
-    else:
-        size = chunk_size or default_chunk_size(len(cells), workers)
-        chunks = _chunked(list(range(len(cells))), size)
-        payloads = [
-            (chunk, [cells[index] for index in chunk], kwargs)
-            for chunk in chunks
-        ]
-        context = multiprocessing.get_context("spawn")
-        pool_size = min(workers, len(payloads))
-        with context.Pool(processes=pool_size) as pool:
-            for batch in pool.imap_unordered(_run_keyspace_chunk, payloads):
-                for index, record in batch:
-                    finish(index, record)
-    return KeyspaceSweepResult([done[index] for index in range(len(cells))])
+    return KeyspaceSweepResult(_run_cells(
+        [(spec,) for spec in cells], execute_keyspace_cell,
+        dict(max_steps=max_steps, audit_storage_every=audit_storage_every),
+        workers=workers, chunk_size=chunk_size,
+        coding_backend=coding_backend,
+        progress=progress and (
+            lambda done, total, cell: progress(done, total)
+        ),
+    ))

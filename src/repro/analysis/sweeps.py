@@ -16,27 +16,21 @@ uniform writer waves. This module is the engine for that:
   the :mod:`~repro.workloads.patterns` generators) bound to an optional
   seed-derived deterministic crash plan
   (:func:`~repro.sim.failures.seeded_crash_schedule`);
-* :func:`run_sweep` — execute every ``scenario x point`` cell
-  deterministically, batching each cell's write wave through the runner's
-  :class:`~repro.coding.oracles.BatchEncodePlan` stacked encode pass;
+* :func:`execute_cell` — run one ``scenario x point`` cell
+  deterministically, batching its write wave through the runner's
+  :class:`~repro.coding.oracles.BatchEncodePlan` stacked encode pass
+  (:func:`repro.analysis.executor.run_sweep` is the one engine that runs
+  the whole cell list — in-process at ``workers=1``, pooled above);
 * :class:`SweepResult` — the measured table: renderable via
   :func:`~repro.analysis.tables.format_table`, serialisable to JSON
   (``benchmarks/results/``), sliceable into per-curve series.
 
-Each record also carries closed-form **reference overlays** so measured
-curves can be plotted against the literature:
-
-* ``thm1_bits`` — this paper's Theorem 1 lower bound
-  ``min((f+1) D/2, c (D/2+1))``;
-* ``adaptive_bound_bits`` — the Section 5 upper bound
-  ``(min(f, c)+1) * (n/k) * D``;
-* ``disintegrated_bits`` — Berger–Keidar–Spiegelman's integrated bound for
-  disintegrated storage (arXiv:1805.06265), ``min(f+1, c) * D``, which
-  tightens Theorem 1's constant and drops its ``+1``-per-piece slack;
-* ``lrc_floor_bits`` — the per-value storage floor ``n * D / k_max`` of a
-  locally recoverable code at the same ``(n, f)`` under the
-  Cadambe–Mazumdar dimension bound (arXiv:1308.3200) for locality ``r``
-  (via the distance corollary ``d <= n - k - ceil(k/r) + 2``).
+Each record also carries the closed-form **reference overlays** of
+:mod:`repro.analysis.bounds` — ``thm1_bits`` (this paper's Theorem 1),
+``adaptive_bound_bits`` (Section 5), ``disintegrated_bits``
+(Berger–Keidar–Spiegelman, arXiv:1805.06265) and ``lrc_floor_bits``
+(Cadambe–Mazumdar, arXiv:1308.3200) — so measured curves can be plotted
+against the literature.
 
 The bounds are linear in ``D``, so sweeping ``D`` down to a few bytes
 (with ``pad=True`` for sizes no code dimension divides) exposes the
@@ -52,8 +46,14 @@ import json
 import time
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
+from repro.analysis.bounds import (
+    adaptive_upper_bound_bits,
+    disintegrated_bound_bits,
+    lrc_storage_floor_bits,
+    theorem1_bound_bits,
+)
 from repro.analysis.tables import (
     flat_within,
     format_table,
@@ -63,6 +63,7 @@ from repro.coding import backends as coding_backends
 from repro.coding.padding import PaddedScheme
 from repro.coding.reed_solomon import ReedSolomonCode
 from repro.errors import ParameterError, SchedulerExhausted
+from repro.keyspace import KeyspaceSpec, run_keyspace
 from repro.registers import (
     ABDRegister,
     AdaptiveRegister,
@@ -81,61 +82,6 @@ from repro.workloads import (
     staggered_writers,
     writer_name,
 )
-
-# --------------------------------------------------------------- overlays
-
-
-def theorem1_bound_bits(f: int, c: int, data_bits: int) -> int:
-    """Theorem 1 (this paper): storage >= ``min((f+1) D/2, c (D/2+1))``."""
-    return min((f + 1) * data_bits // 2, c * (data_bits // 2 + 1))
-
-
-def adaptive_upper_bound_bits(f: int, k: int, c: int, data_bits: int) -> int:
-    """Section 5 upper bound: ``(min(f, c) + 1) * (n/k) * D``, ``n = 2f+k``."""
-    n = 2 * f + k
-    return (min(f, c) + 1) * n * data_bits // k
-
-
-def disintegrated_bound_bits(f: int, c: int, data_bits: int) -> int:
-    """Berger–Keidar–Spiegelman (arXiv:1805.06265): ``min(f+1, c) * D``.
-
-    Their integrated bound covers *disintegrated* storage — algorithms
-    whose reads reassemble values from pieces (coded or Byzantine
-    non-authenticated) — and strengthens Theorem 1 by a factor ~2.
-    """
-    return min(f + 1, c) * data_bits
-
-
-def lrc_max_dimension(n: int, f: int, locality: int) -> int:
-    """Largest LRC dimension ``k`` at length ``n`` tolerating ``f`` erasures.
-
-    Uses the Cadambe–Mazumdar bound (arXiv:1308.3200) through its distance
-    corollary ``d <= n - k - ceil(k/r) + 2``: tolerating ``f`` erasures
-    needs ``d >= f + 1``, so ``k + ceil(k / locality) <= n - f + 1``.
-    """
-    if n < 1 or f < 0 or locality < 1:
-        raise ParameterError("need n >= 1, f >= 0, locality >= 1")
-    best = 0
-    for k in range(1, n + 1):
-        if k + -(-k // locality) <= n - f + 1:
-            best = k
-    return best
-
-
-def lrc_storage_floor_bits(
-    n: int, f: int, data_bits: int, locality: int = 2
-) -> int:
-    """Per-value storage floor ``ceil(n * D / k_max)`` of an (n, f) LRC.
-
-    The concurrency-independent cost of *one* codeword under the best
-    locality-``locality`` code the Cadambe–Mazumdar bound admits — the
-    flat line coded crossover curves are measured against.
-    """
-    k_max = lrc_max_dimension(n, f, locality)
-    if k_max == 0:
-        return n * data_bits  # no LRC exists; replication is the floor
-    return -(-n * data_bits // k_max)
-
 
 # --------------------------------------------------------------- registry
 
@@ -433,9 +379,8 @@ class SweepRecord:
     *fired* (deterministic per seed — a scheduled kill may never fire if
     the run drains first). ``wall_clock_s`` is the measured wall-clock of
     the cell's simulation run and ``worker`` the pool-worker number that
-    executed it (``0`` for in-process serial runs — see
-    :mod:`repro.analysis.executor`). Both default so pre-timing JSON
-    documents still load, and both are *metadata*, not measurement:
+    executed it (``0`` for in-process ``workers=1`` runs — see
+    :mod:`repro.analysis.executor`). Both are *metadata*, not measurement:
     :meth:`SweepResult.to_json` can exclude them to obtain the
     deterministic byte-identical document two identical sweeps agree on —
     regardless of worker count.
@@ -467,24 +412,6 @@ class SweepRecord:
     coding_backend: str = ""
 
 
-#: Default columns of :meth:`SweepResult.table`.
-TABLE_COLUMNS = (
-    "scenario", "register", "f", "k", "n", "c", "data_bits",
-    "peak_bo_state_bits", "thm1_bits", "disintegrated_bits",
-    "adaptive_bound_bits", "lrc_floor_bits",
-)
-
-#: JSON document version written by :meth:`SweepResult.to_json`. Version 1
-#: predates the scenario axis; its records load with scenario "uniform",
-#: no padding, and zero crash counts — exactly what those sweeps ran.
-#: Version 2 predates the parallel executor; its records load with
-#: ``worker = 0`` — every v2 sweep ran in-process.
-#: Version 3 predates the coding-backend seam; its records load with an
-#: empty ``coding_backend`` (the kernel those sweeps ran is today's
-#: ``numpy-table`` reference — results are byte-identical either way).
-SCHEMA_VERSION = 4
-_SUPPORTED_VERSIONS = (1, 2, 3, SCHEMA_VERSION)
-
 #: Per-record execution metadata: fields that describe *how* a cell ran
 #: (how long, on which pool worker, under which GF kernel), never *what*
 #: it measured. These are exactly the fields
@@ -495,23 +422,107 @@ RECORD_METADATA_FIELDS = ("wall_clock_s", "worker", "coding_backend")
 
 
 @dataclass
-class SweepResult:
-    """The measured sweep: a flat record table plus rendering/IO helpers."""
+class RecordTable:
+    """A flat table of frozen-dataclass records plus rendering/IO helpers.
 
-    records: list[SweepRecord]
+    The one container behind every sweep result; a concrete table names
+    its record type, JSON schema version and default columns as class
+    attributes and adds only the slicing helpers specific to its axes.
+    """
+
+    records: list
+
+    #: The frozen dataclass every row is an instance of.
+    RECORD: ClassVar[type]
+    #: JSON document version written by :meth:`to_json`.
+    VERSION: ClassVar[int]
+    #: Default columns of :meth:`table`.
+    COLUMNS: ClassVar[tuple[str, ...]]
 
     def __len__(self) -> int:
         return len(self.records)
 
-    # ------------------------------------------------------------ slicing
-
-    def select(self, **filters: object) -> list[SweepRecord]:
-        """Records whose fields equal every ``filters`` entry, grid order."""
+    def select(self, **filters: object) -> list:
+        """Records whose fields equal every ``filters`` entry, in order."""
         return [
             record
             for record in self.records
             if all(getattr(record, key) == value for key, value in filters.items())
         ]
+
+    def table(self, columns: Sequence[str] | None = None) -> str:
+        """Render the records as an aligned monospace table."""
+        columns = list(columns or self.COLUMNS)
+        rows = [
+            [getattr(record, column) for column in columns]
+            for record in self.records
+        ]
+        return format_table(columns, rows)
+
+    def to_json(self, include_timing: bool = True) -> str:
+        """Serialise to a stable, versioned JSON document.
+
+        ``include_timing=False`` drops the per-record execution metadata
+        (:data:`RECORD_METADATA_FIELDS`), yielding the deterministic
+        document two runs of the same cells agree on byte-for-byte — at
+        any worker count (every *measured* field is deterministic — crash
+        victims and firing order included, since crash plans are
+        seed-derived; wall-clock and pool placement are not).
+        """
+        records = [asdict(record) for record in self.records]
+        record_fields = [field.name for field in fields(self.RECORD)]
+        if not include_timing:
+            for metadata_field in RECORD_METADATA_FIELDS:
+                record_fields.remove(metadata_field)
+                for record in records:
+                    del record[metadata_field]
+        return json.dumps(
+            {
+                "version": self.VERSION,
+                "record_fields": record_fields,
+                "records": records,
+            },
+            indent=2,
+            sort_keys=True,
+        )
+
+    @classmethod
+    def from_json(cls, text: str):
+        """Rebuild a table from :meth:`to_json` output (current version
+        only; anything else raises :class:`~repro.errors.ParameterError`)."""
+        document = json.loads(text)
+        if document.get("version") != cls.VERSION:
+            raise ParameterError(
+                f"unsupported {cls.__name__} version "
+                f"{document.get('version')!r} (this build reads "
+                f"{cls.VERSION})"
+            )
+        return cls([cls.RECORD(**record) for record in document["records"]])
+
+    def save(self, path: str | Path) -> Path:
+        """Write the JSON document to ``path`` (parents created)."""
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(self.to_json() + "\n")
+        return path
+
+    @classmethod
+    def load(cls, path: str | Path):
+        """Read a table back from a :meth:`save` file."""
+        return cls.from_json(Path(path).read_text())
+
+
+class SweepResult(RecordTable):
+    """The measured register sweep: a :class:`RecordTable` of
+    :class:`SweepRecord` rows plus per-curve slicing."""
+
+    RECORD = SweepRecord
+    VERSION = 4  # 4 added the coding_backend metadata field
+    COLUMNS = (
+        "scenario", "register", "f", "k", "n", "c", "data_bits",
+        "peak_bo_state_bits", "thm1_bits", "disintegrated_bits",
+        "adaptive_bound_bits", "lrc_floor_bits",
+    )
 
     def series(
         self, y: str = "peak_bo_state_bits", x: str = "c", **filters: object
@@ -529,66 +540,6 @@ class SweepResult:
     def scenarios(self) -> list[str]:
         """Scenario names present, in record (sweep execution) order."""
         return list(dict.fromkeys(record.scenario for record in self.records))
-
-    # ---------------------------------------------------------- rendering
-
-    def table(self, columns: Sequence[str] = TABLE_COLUMNS) -> str:
-        """Render the records as an aligned monospace table."""
-        rows = [
-            [getattr(record, column) for column in columns]
-            for record in self.records
-        ]
-        return format_table(list(columns), rows)
-
-    # ----------------------------------------------------------------- IO
-
-    def to_json(self, include_timing: bool = True) -> str:
-        """Serialise to a stable, versioned JSON document.
-
-        ``include_timing=False`` drops the per-record execution metadata
-        (:data:`RECORD_METADATA_FIELDS`: ``wall_clock_s`` and the
-        executor's ``worker`` number), yielding the deterministic document
-        two runs of the same grid agree on byte-for-byte — at any worker
-        count (every *measured* field is deterministic — crash victims and
-        firing order included, since crash plans are seed-derived;
-        wall-clock and pool placement are not).
-        """
-        records = [asdict(record) for record in self.records]
-        record_fields = [field.name for field in fields(SweepRecord)]
-        if not include_timing:
-            for metadata_field in RECORD_METADATA_FIELDS:
-                record_fields.remove(metadata_field)
-                for record in records:
-                    del record[metadata_field]
-        return json.dumps(
-            {
-                "version": SCHEMA_VERSION,
-                "record_fields": record_fields,
-                "records": records,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SweepResult":
-        document = json.loads(text)
-        if document.get("version") not in _SUPPORTED_VERSIONS:
-            raise ParameterError(
-                f"unsupported sweep result version {document.get('version')!r}"
-            )
-        return cls([SweepRecord(**record) for record in document["records"]])
-
-    def save(self, path: str | Path) -> Path:
-        """Write the JSON document to ``path`` (parents created)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_json() + "\n")
-        return path
-
-    @classmethod
-    def load(cls, path: str | Path) -> "SweepResult":
-        return cls.from_json(Path(path).read_text())
 
 
 def render_crossover_blocks(
@@ -770,32 +721,15 @@ def _run_cell(
 
 def normalize_scenarios(
     scenarios: Sequence[Scenario] | None,
-    writes_per_writer: int = 1,
-    readers: int = 0,
 ) -> tuple[Scenario, ...]:
     """Resolve the scenario axis of a sweep call, validating it.
 
-    ``scenarios = None`` builds the single crash-free uniform wave from
-    the legacy ``writes_per_writer``/``readers`` shape knobs; an explicit
-    sequence must carry its shape on each :class:`Scenario` (the legacy
-    knobs are rejected) and use distinct names. Shared by the serial
-    :func:`run_sweep` and the parallel executor so both paths agree on
-    the exact cell list.
+    ``scenarios = None`` is the single crash-free uniform wave
+    (:data:`UNIFORM_SCENARIO`); an explicit sequence carries its shape on
+    each :class:`Scenario` and must use distinct names.
     """
     if scenarios is None:
-        return (
-            Scenario(
-                "uniform", ops_per_client=writes_per_writer, readers=readers
-            ),
-        )
-    if writes_per_writer != 1 or readers != 0:
-        # The shape knobs live on the Scenario once scenarios are explicit;
-        # silently dropping the legacy arguments would measure the wrong
-        # workload.
-        raise ParameterError(
-            "pass writes_per_writer/readers via each Scenario "
-            "(ops_per_client/readers) when scenarios are given explicitly"
-        )
+        return (UNIFORM_SCENARIO,)
     names = [scenario.name for scenario in scenarios]
     if len(set(names)) != len(names):
         raise ParameterError(f"duplicate scenario names: {names}")
@@ -807,10 +741,9 @@ def sweep_cells(
 ) -> list[tuple[Scenario, SweepPoint]]:
     """The sweep's cell list: every ``scenario x point``, scenario-major.
 
-    This ordering *is* the result-record ordering — the serial loop runs
-    it front to back, and the parallel executor merges worker outputs
-    back into it — so a cell's position here is its identity for
-    checkpoint journals.
+    This ordering *is* the result-record ordering — the in-process loop
+    runs it front to back, and a pool's outputs are merged back into it —
+    so a cell's position here is its identity for checkpoint journals.
     """
     return [
         (scenario, point) for scenario in scenarios for point in grid
@@ -829,12 +762,12 @@ def execute_cell(
 ) -> SweepRecord:
     """Run one ``scenario x point`` cell and build its :class:`SweepRecord`.
 
-    The single record constructor both execution paths share: the serial
-    :func:`run_sweep` loop calls it in-process (``worker = 0``) and the
-    pool workers of :mod:`repro.analysis.executor` call it in their own
-    processes — every field except the :data:`RECORD_METADATA_FIELDS` is
-    a pure function of ``(scenario, point)`` and the keyword knobs, which
-    is what makes pooled sweeps byte-identical to serial ones. A non-empty
+    The single record constructor: :func:`repro.analysis.executor.run_sweep`
+    calls it in-process at ``workers=1`` (``worker = 0``) and from spawned
+    pool workers above that — every field except the
+    :data:`RECORD_METADATA_FIELDS` is a pure function of ``(scenario,
+    point)`` and the keyword knobs, which is what makes pooled sweeps
+    byte-identical to the in-process reference. A non-empty
     ``coding_backend`` activates that GF kernel first (the executor passes
     it so spawn-pool workers re-resolve the parent's choice); the record
     always carries the name that actually ran. Backends are byte-identical,
@@ -883,86 +816,15 @@ def execute_cell(
     )
 
 
-def run_sweep(
-    grid: SweepGrid,
-    *,
-    scenarios: Sequence[Scenario] | None = None,
-    writes_per_writer: int = 1,
-    readers: int = 0,
-    max_steps: int = 400_000,
-    lrc_locality: int = 2,
-    audit_storage_every: int = 0,
-    progress: Callable[[int, int, SweepPoint], None] | None = None,
-) -> SweepResult:
-    """Execute every ``scenario x grid-point`` cell; return the results.
-
-    ``scenarios`` defaults to the single crash-free uniform wave (shaped by
-    ``writes_per_writer``/``readers``, the pre-scenario interface); passing
-    a sequence runs the whole grid once per scenario, scenario-major, so a
-    result groups into per-scenario overlay curves. Each cell runs under
-    the deterministic fair scheduler with its scenario's seed-derived crash
-    plan, so the whole sweep is reproducible from the grid alone (same grid
-    and scenarios, same result — byte-identical
-    ``to_json(include_timing=False)`` documents, crash victims and firing
-    order included; each record additionally carries its measured
-    ``wall_clock_s``, which is not deterministic). Every cell's write wave
-    is pre-encoded in one stacked
-    :class:`~repro.coding.oracles.BatchEncodePlan` pass — by the runner for
-    uniform waves, by the pattern builders otherwise — so a 500-writer cell
-    costs one ``encode_batch`` call, not 500 encodes.
-
-    ``audit_storage_every = N`` cross-checks the incremental storage ledger
-    against the full-walk reference meter every ``N`` actions in every cell
-    (CI smoke runs use ``N = 1``: the ledger-vs-reference parity audit at
-    literally every action of every scenario x register cell).
-
-    ``progress`` (if given) is called as ``progress(done, total, point)``
-    after each cell — the hook CLI front-ends print from.
-
-    This is the serial engine; :func:`repro.analysis.executor.run_sweep`
-    is the superset that fans the same cell list out across a process
-    pool and journals completed cells for checkpoint/resume.
-    """
-    cells = sweep_cells(
-        grid, normalize_scenarios(scenarios, writes_per_writer, readers)
-    )
-    records: list[SweepRecord] = []
-    for position, (scenario, point) in enumerate(cells, start=1):
-        records.append(
-            execute_cell(
-                scenario, point, max_steps=max_steps,
-                lrc_locality=lrc_locality,
-                audit_storage_every=audit_storage_every,
-            )
-        )
-        if progress is not None:
-            progress(position, len(cells), point)
-    return SweepResult(records)
-
-
 # ------------------------------------------------------- keyspace sweeps
 #
 # The keyspace axis: cells are whole sharded-keyspace runs
 # (:func:`repro.keyspace.run_keyspace`) instead of single-register
 # workloads, gridded over (skew, register, keys, shards). Cells stay
 # pure functions of their spec + engine knobs — the property the
-# parallel executor's byte-identical merge (and these records' JSON
-# determinism tests) rely on — so the same serial/pooled split applies:
-# :func:`run_keyspace_sweep` here is the serial engine and
-# :func:`repro.analysis.executor.run_keyspace_sweep` the pool superset.
-
-#: Default columns of :meth:`KeyspaceSweepResult.table`.
-KEYSPACE_TABLE_COLUMNS = (
-    "skew", "register", "keys", "shards", "max_shard_c",
-    "aggregate_peak_bo_state_bits", "aggregate_peak_storage_bits",
-    "aggregate_thm1_floor_bits", "floor_violations", "distinct_keys",
-)
-
-#: JSON document version of :meth:`KeyspaceSweepResult.to_json`. Version 1
-#: predates the coding-backend seam; its records load with an empty
-#: ``coding_backend`` (results are byte-identical across backends).
-KEYSPACE_SCHEMA_VERSION = 2
-_KEYSPACE_SUPPORTED_VERSIONS = (1, KEYSPACE_SCHEMA_VERSION)
+# executor's byte-identical merge (and these records' JSON determinism
+# tests) rely on — so :func:`repro.analysis.executor.run_keyspace_sweep`
+# runs them through the same pooled cell runner as register sweeps.
 
 
 @dataclass(frozen=True)
@@ -1028,15 +890,13 @@ def keyspace_grid(
     hot_weight: float = 0.9,
     vnodes: int = 64,
     seed: int = 0,
-) -> tuple["KeyspaceSpec", ...]:
+) -> tuple[KeyspaceSpec, ...]:
     """Cartesian keyspace cell list over (skew, register, keys, shards).
 
     Each cell is a :class:`~repro.keyspace.KeyspaceSpec` (frozen, so the
     tuple is deduplicatable and pool-picklable); spec validation runs at
     grid-build time, mirroring :meth:`SweepGrid.explicit`.
     """
-    from repro.keyspace import KeyspaceSpec
-
     specs = [
         KeyspaceSpec(
             keys=key_count, shards=shard_count, register=register, f=f,
@@ -1054,7 +914,7 @@ def keyspace_grid(
 
 
 def execute_keyspace_cell(
-    spec: "KeyspaceSpec",
+    spec: KeyspaceSpec,
     *,
     max_steps: int = 400_000,
     audit_storage_every: int = 0,
@@ -1065,12 +925,10 @@ def execute_keyspace_cell(
 
     Like :func:`execute_cell`, every field except the execution metadata
     is a pure function of ``(spec, knobs)`` — the pooled keyspace sweep
-    is byte-identical to the serial one because of this (a non-empty
+    is byte-identical to the ``workers=1`` one because of this (a non-empty
     ``coding_backend`` selects the GF kernel, which is byte-identical
     across backends).
     """
-    from repro.keyspace import run_keyspace
-
     if coding_backend:
         coding_backends.use_backend(coding_backend)
     started = time.perf_counter()
@@ -1115,100 +973,22 @@ def execute_keyspace_cell(
     )
 
 
-@dataclass
-class KeyspaceSweepResult:
-    """The measured keyspace sweep: records + rendering/IO, like
-    :class:`SweepResult` (same timing-stripped determinism contract)."""
+class KeyspaceSweepResult(RecordTable):
+    """The measured keyspace sweep: a :class:`RecordTable` of
+    :class:`KeyspaceRecord` rows (same timing-stripped determinism
+    contract as :class:`SweepResult`)."""
 
-    records: list[KeyspaceRecord]
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def select(self, **filters: object) -> list[KeyspaceRecord]:
-        """Records whose fields equal every ``filters`` entry, in order."""
-        return [
-            record
-            for record in self.records
-            if all(getattr(record, key) == value
-                   for key, value in filters.items())
-        ]
+    RECORD = KeyspaceRecord
+    VERSION = 2  # 2 added the coding_backend metadata field
+    COLUMNS = (
+        "skew", "register", "keys", "shards", "max_shard_c",
+        "aggregate_peak_bo_state_bits", "aggregate_peak_storage_bits",
+        "aggregate_thm1_floor_bits", "floor_violations", "distinct_keys",
+    )
 
     def skews(self) -> list[str]:
+        """Skew names present, in record (sweep execution) order."""
         return list(dict.fromkeys(record.skew for record in self.records))
-
-    def table(self, columns: Sequence[str] = KEYSPACE_TABLE_COLUMNS) -> str:
-        rows = [
-            [getattr(record, column) for column in columns]
-            for record in self.records
-        ]
-        return format_table(list(columns), rows)
-
-    def to_json(self, include_timing: bool = True) -> str:
-        """Stable versioned JSON; ``include_timing=False`` strips the
-        :data:`RECORD_METADATA_FIELDS` for byte-identity comparisons."""
-        records = [asdict(record) for record in self.records]
-        record_fields = [field.name for field in fields(KeyspaceRecord)]
-        if not include_timing:
-            for metadata_field in RECORD_METADATA_FIELDS:
-                record_fields.remove(metadata_field)
-                for record in records:
-                    del record[metadata_field]
-        return json.dumps(
-            {
-                "version": KEYSPACE_SCHEMA_VERSION,
-                "record_fields": record_fields,
-                "records": records,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "KeyspaceSweepResult":
-        document = json.loads(text)
-        if document.get("version") not in _KEYSPACE_SUPPORTED_VERSIONS:
-            raise ParameterError(
-                f"unsupported keyspace sweep version "
-                f"{document.get('version')!r}"
-            )
-        return cls([
-            KeyspaceRecord(**record) for record in document["records"]
-        ])
-
-    def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_json() + "\n")
-        return path
-
-    @classmethod
-    def load(cls, path: str | Path) -> "KeyspaceSweepResult":
-        return cls.from_json(Path(path).read_text())
-
-
-def run_keyspace_sweep(
-    cells: Sequence["KeyspaceSpec"],
-    *,
-    max_steps: int = 400_000,
-    audit_storage_every: int = 0,
-    progress: Callable[[int, int], None] | None = None,
-) -> KeyspaceSweepResult:
-    """Execute every keyspace cell serially, in cell order.
-
-    The serial engine; :func:`repro.analysis.executor.run_keyspace_sweep`
-    fans the same cell list across a spawn pool with a deterministic
-    merge. ``progress`` is called as ``progress(done, total)``.
-    """
-    records = []
-    for position, spec in enumerate(cells, start=1):
-        records.append(execute_keyspace_cell(
-            spec, max_steps=max_steps,
-            audit_storage_every=audit_storage_every,
-        ))
-        if progress is not None:
-            progress(position, len(cells))
-    return KeyspaceSweepResult(records)
 
 
 def keyspace_advantage_ratios(

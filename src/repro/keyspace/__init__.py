@@ -2,10 +2,10 @@
 
 See :mod:`repro.keyspace.runner` for the model (shard = register,
 per-shard concurrency = wave routing) and :mod:`repro.keyspace.hashing`
-for the consistent-hash ring. The sweep axis over (skew, shards, keys)
-lives in :mod:`repro.analysis.sweeps` (``KeyspacePoint`` /
-``run_keyspace_sweep``), parallel-executor compatible via
-:mod:`repro.analysis.executor`.
+for the consistent-hash ring. The sweep axis over (skew, register, keys,
+shards) lives in :mod:`repro.analysis.sweeps` (``keyspace_grid`` builds
+the :class:`KeyspaceSpec` cells, ``KeyspaceSweepResult`` holds the
+records) and runs through :func:`repro.analysis.executor.run_keyspace_sweep`.
 """
 
 from repro.keyspace.hashing import HashRing, hash_point

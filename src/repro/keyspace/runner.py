@@ -33,7 +33,7 @@ caching: measurements are identical with the pools disabled.
 
 Per shard, the realized peak Definition 2 cost is checked against the
 Theorem 1 floor at that shard's own maximum concurrency
-(:func:`~repro.analysis.sweeps.theorem1_bound_bits`) — the per-shard
+(:func:`~repro.analysis.bounds.theorem1_bound_bits`) — the per-shard
 lower-bound audit the keyspace benchmark asserts.
 """
 
@@ -43,6 +43,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.analysis.bounds import theorem1_bound_bits
 from repro.coding.oracles import BatchEncodePlan, DecodeShareCache
 from repro.coding.scheme import CodingScheme, MDSCodingScheme
 from repro.errors import ParameterError, SchedulerExhausted
@@ -397,10 +398,6 @@ def run_keyspace(
             )
         if progress is not None:
             progress(wave + 1, spec.waves)
-    # Imported here, not at module level: the sweep engine imports this
-    # module for its keyspace axis, so a top-level import would cycle.
-    from repro.analysis.sweeps import theorem1_bound_bits
-
     for shard_stats in stats:
         shard_stats.thm1_floor_bits = (
             theorem1_bound_bits(spec.f, shard_stats.max_c,

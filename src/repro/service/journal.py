@@ -1,15 +1,14 @@
 """Append-only replica journal: crash recovery for one server.
 
-The executor's sweep checkpoint (``repro.analysis.executor.SweepJournal``)
-established the repository's journal idiom — JSONL, a header line pinning
-a SHA-256 signature of everything that must match for the file to be
-reusable, flush-per-line, a *tolerated* truncated trailing line (the
-kill-mid-write artifact), and a hard error on any other corruption. This
-module applies the same idiom to replica state: every write a server
-applies is appended **before** the acknowledgement leaves the process
-(write-ahead — see :class:`~repro.msgnet.protocol.ServerProtocol`'s
-``on_apply`` contract), so a SIGKILLed server restarts exactly at the last
-state any client could have observed as acknowledged.
+The file itself (signed header, flush-per-line, tail rule, hard error on
+any other damage) is :class:`repro.journal.SignedJournal`, shared with the
+sweep checkpoint; this module is the replica-state codec on top of it.
+Every write a server applies is appended **before** the acknowledgement
+leaves the process (write-ahead — see
+:class:`~repro.msgnet.protocol.ServerProtocol`'s ``on_apply`` contract), so
+a SIGKILLed server restarts exactly at the last state any client could
+have observed as acknowledged. Write-ahead here is ``flush()``, not
+``fsync``: SIGKILL-durable, not power-loss-durable.
 
 Failure semantics mirror :class:`~repro.errors.CheckpointError` (and
 :class:`~repro.errors.JournalError` subclasses it): a journal written by a
@@ -23,10 +22,10 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-from pathlib import Path
 
 from repro.coding.oracles import BlockSource, CodeBlock
 from repro.errors import JournalError
+from repro.journal import SignedJournal
 from repro.registers.timestamps import Timestamp
 
 #: Journal file format version (independent of the wire schema).
@@ -56,76 +55,34 @@ def replica_signature(
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-class ReplicaJournal:
+class ReplicaJournal(SignedJournal):
     """Append-only JSONL journal of one replica's applied writes.
 
     Line 0 pins the magic, version, and replica signature; every further
     line is one applied write ``{"ts": [num, client], "block": {...}}``.
-    The server process is the only writer, each line is flushed as it is
-    written, and :meth:`load` tolerates exactly one truncated trailing
-    line — that write was never acknowledged (the ack follows the flush),
-    so dropping it is indistinguishable from the crash arriving a moment
-    earlier.
+    The server process is the only writer. :meth:`load` returns the
+    applied writes as ``(Timestamp, CodeBlock)`` pairs in apply order,
+    ignores unterminated trailing text (that write was never acknowledged
+    — the ack follows the flush) and raises
+    :class:`~repro.errors.JournalError` for a foreign or damaged file.
     """
 
-    def __init__(self, path: str | Path, signature: str) -> None:
-        self.path = Path(path)
-        self.signature = signature
-        self._handle = None
+    MAGIC = JOURNAL_MAGIC
+    VERSION = JOURNAL_VERSION
+    OWNER = "replica configuration"
+    ERROR = JournalError
 
-    # ------------------------------------------------------------- reading
-
-    def load(self) -> list[tuple[Timestamp, CodeBlock]]:
-        """Applied writes from an existing journal, validated, in order.
-
-        Returns ``[]`` when the journal does not exist or is empty.
-        Raises :class:`~repro.errors.JournalError` when the header is
-        missing or pins a different replica, or when any line other than
-        the final one is malformed.
-        """
-        if not self.path.exists():
-            return []
-        lines = self.path.read_text().splitlines()
-        if not lines:
-            return []
-        header = self._parse_line(lines[0], line_number=1)
-        if header is None or header.get("journal") != JOURNAL_MAGIC:
-            raise JournalError(
-                f"{self.path}: not a replica journal (missing header)"
-            )
-        if header.get("journal_version") != JOURNAL_VERSION:
-            raise JournalError(
-                f"{self.path}: unsupported journal version "
-                f"{header.get('journal_version')!r}"
-            )
-        if header.get("signature") != self.signature:
-            raise JournalError(
-                f"{self.path}: journal was written by a different replica "
-                f"configuration (signature {header.get('signature')!r} != "
-                f"{self.signature!r}); refusing to recover from it"
-            )
-        entries: list[tuple[Timestamp, CodeBlock]] = []
-        for number, line in enumerate(lines[1:], start=2):
-            entry = self._parse_line(
-                line, line_number=number, tolerate=(number == len(lines))
-            )
-            if entry is None:  # tolerated truncated trailing line
-                continue
-            try:
-                ts = Timestamp(int(entry["ts"][0]), entry["ts"][1])
-                raw = entry["block"]
-                block = CodeBlock(
-                    payload=base64.b64decode(raw["p"]),
-                    index=int(raw["i"]),
-                    source=BlockSource(int(raw["op"]), int(raw["si"])),
-                    size_bits=int(raw["b"]),
-                )
-            except (KeyError, IndexError, TypeError, ValueError) as error:
-                raise JournalError(
-                    f"{self.path}:{number}: malformed journal entry: {error}"
-                ) from error
-            entries.append((ts, block))
-        return entries
+    def _decode(self, entry: dict) -> tuple[Timestamp, CodeBlock]:
+        raw = entry["block"]
+        return (
+            Timestamp(int(entry["ts"][0]), entry["ts"][1]),
+            CodeBlock(
+                payload=base64.b64decode(raw["p"]),
+                index=int(raw["i"]),
+                source=BlockSource(int(raw["op"]), int(raw["si"])),
+                size_bits=int(raw["b"]),
+            ),
+        )
 
     def recovered(self) -> tuple[Timestamp, CodeBlock] | None:
         """The replica state to restart from: the highest journaled write.
@@ -140,48 +97,6 @@ class ReplicaJournal:
         if not entries:
             return None
         return max(entries, key=lambda entry: entry[0])
-
-    def _parse_line(
-        self, line: str, *, line_number: int, tolerate: bool = False
-    ) -> dict | None:
-        try:
-            parsed = json.loads(line)
-        except json.JSONDecodeError as error:
-            if tolerate:
-                return None
-            raise JournalError(
-                f"{self.path}:{line_number}: corrupt journal line: {error}"
-            ) from error
-        if not isinstance(parsed, dict):
-            raise JournalError(
-                f"{self.path}:{line_number}: journal line is not an object"
-            )
-        return parsed
-
-    # ------------------------------------------------------------- writing
-
-    def open_for_append(self) -> None:
-        """Open for appending; create the header when new or empty.
-
-        A truncated trailing line left by a crash is trimmed back to the
-        last complete line first — appending after partial text would fuse
-        two entries into one permanently corrupt line.
-        """
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        existed = self.path.exists() and self.path.stat().st_size > 0
-        if existed:
-            text = self.path.read_text()
-            if not text.endswith("\n"):
-                text = text[: text.rfind("\n") + 1]
-                self.path.write_text(text)
-                existed = bool(text)
-        self._handle = open(self.path, "a")
-        if not existed:
-            self._write_line({
-                "journal": JOURNAL_MAGIC,
-                "journal_version": JOURNAL_VERSION,
-                "signature": self.signature,
-            })
 
     def append(self, ts: Timestamp, block: CodeBlock) -> None:
         """Persist one applied write (flushed before this returns)."""
@@ -199,12 +114,3 @@ class ReplicaJournal:
     def entry_count(self) -> int:
         """Applied writes currently recoverable from the file."""
         return len(self.load())
-
-    def _write_line(self, payload: dict) -> None:
-        self._handle.write(json.dumps(payload, sort_keys=True) + "\n")
-        self._handle.flush()
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None

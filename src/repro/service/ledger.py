@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.sweeps import theorem1_bound_bits
+from repro.analysis.bounds import theorem1_bound_bits
 from repro.registers.timestamps import Timestamp
 
 

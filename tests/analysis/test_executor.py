@@ -1,11 +1,12 @@
-"""Tests for the parallel sweep executor: pool fan-out, merge, resume.
+"""Tests for the sweep engine: pool fan-out, merge, resume.
 
-The determinism matrix here is the PR's acceptance criterion: pooled
-``run_sweep`` JSON must be byte-identical to the serial engine's output
-for workers in {1, 2, 4} on the reference scenario grid — crash firing
-records included.
+The determinism matrix here is the acceptance criterion: pooled
+``run_sweep`` JSON must be byte-identical to the in-process ``workers=1``
+reference for workers in {2, 4} on the reference scenario grid — crash
+firing records included — and that reference is pinned by a golden hash.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -23,7 +24,6 @@ from repro.analysis import (
     sweep_cells,
     sweep_signature,
 )
-from repro.analysis.sweeps import run_sweep as serial_run_sweep
 from repro.errors import CheckpointError, ParameterError
 
 #: The reference scenario grid: a crash-free wave and churn-with-crashes
@@ -44,9 +44,23 @@ ENGINE_KNOBS = dict(max_steps=400_000, lrc_locality=2,
                     audit_storage_every=0)
 
 
+#: sha256 of ``run_sweep(GRID, scenarios=SCENARIOS)`` stripped JSON,
+#: computed at the parent of the one-engine refactor (commit dd59c39).
+GOLDEN_SWEEP_SHA256 = (
+    "2b10a5fe6696951afc45c82333cdf6433c65542e771ff43145ad1ad06f963295"
+)
+
+
 @pytest.fixture(scope="module")
 def serial_reference():
-    return serial_run_sweep(GRID, scenarios=SCENARIOS)
+    """The in-process reference: ``workers=1`` is a plain cell loop."""
+    return run_sweep(GRID, scenarios=SCENARIOS, workers=1)
+
+
+def test_reference_matches_golden_hash(serial_reference):
+    stripped = serial_reference.to_json(include_timing=False)
+    assert hashlib.sha256(stripped.encode()).hexdigest() == \
+        GOLDEN_SWEEP_SHA256
 
 
 class TestPooledDeterminism:
@@ -69,7 +83,7 @@ class TestPooledDeterminism:
         assert workers_seen
         assert all(worker > 0 for worker in workers_seen)
         assert len(workers_seen) <= 2
-        serial = serial_run_sweep(GRID, scenarios=SCENARIOS)
+        serial = run_sweep(GRID, scenarios=SCENARIOS, workers=1)
         assert {record.worker for record in serial.records} == {0}
 
     def test_crash_cells_fire_identically_in_pool(self, serial_reference):
@@ -329,7 +343,7 @@ class TestCheckpointJournal:
         cells = sweep_cells(GRID, SCENARIOS)
         signature = sweep_signature(cells, **ENGINE_KNOBS)
         journal = SweepJournal(checkpoint, signature, len(cells))
-        journal.open_for_append(fresh=True)
+        journal.open_for_append()
         journal.close()
         with pytest.raises(CheckpointError, match="cells"):
             SweepJournal(checkpoint, signature, len(cells) + 5).load()
@@ -340,7 +354,7 @@ class TestCheckpointJournal:
         cells = sweep_cells(GRID, SCENARIOS)
         signature = sweep_signature(cells, **ENGINE_KNOBS)
         journal = SweepJournal(checkpoint, signature, len(cells))
-        journal.open_for_append(fresh=True)
+        journal.open_for_append()
         journal.append(len(cells) + 3, serial_reference.records[0])
         journal.close()
         with pytest.raises(CheckpointError, match="outside"):

@@ -270,12 +270,6 @@ class TestScenarioSweep:
             run_sweep(SCENARIO_GRID,
                       scenarios=(Scenario("x"), Scenario("x")))
 
-    def test_legacy_shape_args_conflict_with_explicit_scenarios(self):
-        """readers/writes_per_writer silently vanishing into an explicit
-        scenario list would measure the wrong workload — reject it."""
-        with pytest.raises(ParameterError, match="Scenario"):
-            run_sweep(SCENARIO_GRID, scenarios=(Scenario("x"),), readers=2)
-
     def test_bad_crash_timing_rejected(self):
         with pytest.raises(ParameterError, match="crash_"):
             Scenario("x", bo_crashes=1, crash_spacing=0)
@@ -340,21 +334,6 @@ class TestSweepResultIO:
     def test_version_guard(self):
         with pytest.raises(ParameterError, match="version"):
             SweepResult.from_json('{"version": 99, "records": []}')
-
-    def test_version1_documents_still_load(self, small_result):
-        """Pre-scenario JSON (version 1, no scenario/crash/padded fields)
-        loads as crash-free uniform records — which is what those runs
-        measured."""
-        import json
-
-        document = json.loads(small_result.to_json())
-        document["version"] = 1
-        for record in document["records"]:
-            for legacy_missing in ("scenario", "padded", "completed_reads",
-                                   "bo_crashes", "client_crashes"):
-                del record[legacy_missing]
-        loaded = SweepResult.from_json(json.dumps(document))
-        assert loaded.records == small_result.records
 
     def test_table_renders_all_records(self, small_result):
         table = small_result.table()

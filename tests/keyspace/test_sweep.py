@@ -1,5 +1,6 @@
 """Tests for the keyspace sweep axis: byte-identity, pooling, shapes."""
 
+import hashlib
 import json
 
 import pytest
@@ -11,7 +12,6 @@ from repro.analysis import (
     keyspace_shape_violations,
     run_keyspace_sweep,
 )
-from repro.analysis.sweeps import run_keyspace_sweep as serial_sweep
 
 #: The reference crossover grid: small enough for CI, skewed enough that
 #: hotspot (2 hot keys over 16 shards) concentrates real concurrency.
@@ -30,9 +30,17 @@ CELLS = keyspace_grid(
 )
 
 
+#: sha256 of ``run_keyspace_sweep(CELLS)`` stripped JSON, computed at the
+#: parent of the one-engine refactor (commit dd59c39).
+GOLDEN_KEYSPACE_SHA256 = (
+    "7aa248d0d33171657d6c5ca49d014b9cce518c7eff01a36338a44b8a6a91aba4"
+)
+
+
 @pytest.fixture(scope="module")
 def serial_reference():
-    return serial_sweep(CELLS)
+    """The in-process reference: ``workers=1`` is a plain cell loop."""
+    return run_keyspace_sweep(CELLS, workers=1)
 
 
 class TestGrid:
@@ -46,9 +54,14 @@ class TestGrid:
 class TestByteIdentity:
     def test_same_cells_same_bytes(self, serial_reference):
         """Same-seed sweeps serialize byte-identically, timing stripped."""
-        again = serial_sweep(CELLS)
+        again = run_keyspace_sweep(CELLS)
         assert again.to_json(include_timing=False) == \
             serial_reference.to_json(include_timing=False)
+
+    def test_reference_matches_golden_hash(self, serial_reference):
+        stripped = serial_reference.to_json(include_timing=False)
+        assert hashlib.sha256(stripped.encode()).hexdigest() == \
+            GOLDEN_KEYSPACE_SHA256
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_pooled_matches_serial(self, serial_reference, workers):
