@@ -48,7 +48,7 @@ from typing import Any, Callable, Sequence
 
 from repro.coding.oracles import BlockSource, CodeBlock
 from repro.coding.scheme import CodingScheme
-from repro.errors import ProtocolError
+from repro.errors import ParameterError, ProtocolError
 from repro.registers.base import INITIAL_OP_UID
 from repro.registers.timestamps import TS_ZERO, Timestamp
 
@@ -122,12 +122,29 @@ class ServerProtocol:
     # ----------------------------------------------------------- stepping
 
     def handle(self, sender: str, payload: Payload) -> Outgoing:
-        """Consume one request; return the replies to emit."""
+        """Consume one request; return the replies to emit.
+
+        Requests arrive from outside the process, so a malformed one —
+        not ``(tag, request_id, *operands)``, an unknown tag, the wrong
+        operand count, a ``write`` that does not carry a timestamp and a
+        block of this scheme's size — raises :class:`ProtocolError`
+        with the replica state untouched.
+        """
+        if not isinstance(payload, tuple) or len(payload) < 2:
+            raise ProtocolError(
+                f"server {self.name}: request is not (tag, request_id, ...)"
+            )
         tag, request_id, *rest = payload
+        if len(rest) != (2 if tag == WRITE else 0):
+            raise ProtocolError(
+                f"server {self.name}: malformed {tag!r} request "
+                f"({len(rest)} operand(s))"
+            )
         if tag == READ_TS:
             return [(sender, (REPLY_TS, request_id, self.state.ts))]
         if tag == WRITE:
             ts, block = rest
+            self._check_write(ts, block)
             if ts > self.state.ts:
                 self.state.ts = ts
                 self.state.block = block
@@ -149,6 +166,26 @@ class ServerProtocol:
         if tag == PING:
             return [(sender, (REPLY_PONG, request_id))]
         raise ProtocolError(f"server {self.name}: unknown request tag {tag!r}")
+
+    def _check_write(self, ts: object, block: object) -> None:
+        """Refuse a ``write`` this replica could not store or serve."""
+        if not isinstance(ts, Timestamp) or not isinstance(block, CodeBlock):
+            raise ProtocolError(
+                f"server {self.name}: write carries "
+                f"({type(ts).__name__}, {type(block).__name__}), "
+                f"expected (Timestamp, CodeBlock)"
+            )
+        try:
+            want_bits = self.scheme.block_size_bits(block.index)
+        except ParameterError as error:
+            raise ProtocolError(f"server {self.name}: {error}") from error
+        if block.size_bits != want_bits \
+                or len(block.payload) * 8 != want_bits:
+            raise ProtocolError(
+                f"server {self.name}: block {block.index} is "
+                f"{block.size_bits} bits ({len(block.payload)} payload "
+                f"bytes), scheme says {want_bits}"
+            )
 
     def bind(self, transport: "Transport") -> None:
         """Drive this server from a push transport (see ``Transport``)."""
@@ -174,14 +211,16 @@ class _QuorumRound:
         self.closed = False
 
     def offer(self, sender: str, payload: Payload) -> bool:
-        """Absorb a reply; True when this message completed the quorum."""
-        tag, request_id, *rest = payload
-        if self.closed or tag != self.want_tag \
-                or request_id != self.request_id:
+        """Absorb a reply; True when this message completed the quorum.
+
+        A reply too short to be ``(tag, request_id, *rest)`` matches no
+        round and is ignored like any other stray message.
+        """
+        if self.closed or payload[:2] != (self.want_tag, self.request_id):
             return False
         if sender in self.replies:  # duplicate via retry — ignore
             return False
-        self.replies[sender] = tuple(rest)
+        self.replies[sender] = payload[2:]
         if len(self.replies) >= self.need:
             self.closed = True
             return True

@@ -386,7 +386,7 @@ async def probe(
             if body is None:
                 return None
             payload = decode_payload(body)
-            if payload[0] == want_tag and payload[1] == request[1]:
+            if payload[:2] == (want_tag, request[1]):
                 return payload
     except (WireError, ConnectionResetError, asyncio.TimeoutError, OSError):
         return None

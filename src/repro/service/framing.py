@@ -1,8 +1,8 @@
 """Length-prefixed framing for the TCP transport.
 
 One frame is a 4-byte big-endian length followed by that many payload
-bytes (the JSON from :mod:`repro.service.wire`). TCP is a byte stream;
-the prefix is what turns it back into discrete protocol messages. A
+bytes (one tuple encoded by :mod:`repro.service.wire`). TCP is a byte
+stream; the prefix is what turns it back into discrete protocol messages. A
 length above :data:`MAX_FRAME_BYTES` raises
 :class:`~repro.errors.WireError` immediately — a desynchronized or
 hostile peer must not make the server allocate gigabytes.

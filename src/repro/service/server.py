@@ -5,9 +5,10 @@ A :class:`ReplicaServer` wraps exactly the
 protocol logic lives here. This module contributes only the production
 shell around it:
 
-* **Transport** — length-prefixed JSON frames (``framing``/``wire``) over
-  asyncio TCP; one request frame in, its reply frames out on the same
-  connection.
+* **Transport** — length-prefixed binary frames (``framing``/``wire``)
+  over asyncio TCP; one request frame in, its reply frames out on the
+  same connection. A frame that does not decode, or decodes to a request
+  the protocol refuses, closes that connection and nothing else.
 * **Durability** — a write-ahead :class:`~repro.service.journal.ReplicaJournal`:
   the protocol's ``on_apply`` hook appends (and flushes) before the ack
   frame is written, so SIGKILL can never lose an acknowledged write. On
@@ -31,7 +32,7 @@ import sys
 from dataclasses import dataclass
 
 from repro.coding.replication import ReplicationCode
-from repro.errors import ParameterError, ReproError, WireError
+from repro.errors import ParameterError, ProtocolError, ReproError, WireError
 from repro.msgnet.protocol import ServerProtocol, ServerState
 from repro.service.framing import read_frame, write_frame
 from repro.service.journal import ReplicaJournal, replica_signature
@@ -152,6 +153,10 @@ class ReplicaServer:
                 self._idle.clear()
                 try:
                     await self._handle_frame(body, writer)
+                except (WireError, ProtocolError):
+                    # Undecodable or malformed request: it costs its
+                    # sender this connection; the replica is untouched.
+                    break
                 finally:
                     self._busy -= 1
                     if self._busy == 0:

@@ -8,6 +8,8 @@ service) run exactly these machines, so every property proven here holds
 for both.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.coding.replication import ReplicationCode
@@ -49,6 +51,28 @@ def block_for(value: bytes, index: int, op_uid: int = 7):
         "w", op_uid, value, make_scheme(), SERVERS, MAJORITY
     )
     return writer._block_for(index)
+
+
+NEWER = Timestamp(9, "x")
+GOOD_BLOCK = block_for(b"y" * D, 0)
+
+MALFORMED_REQUESTS = {
+    "not a tuple": [READ_TS, (0, 1)],
+    "empty": (),
+    "tag only": (READ_TS,),
+    "read with an operand": (READ, (0, 1), "extra"),
+    "write without operands": (WRITE, (0, 2)),
+    "write without a block": (WRITE, (0, 2), NEWER),
+    "write with three operands": (WRITE, (0, 2), NEWER, GOOD_BLOCK, "extra"),
+    "write of a non-block": (WRITE, (0, 2), NEWER, "junk"),
+    "write at a non-timestamp": (WRITE, (0, 2), (9, "x"), GOOD_BLOCK),
+    "write of a short block": (WRITE, (0, 2), NEWER, dataclasses.replace(
+        GOOD_BLOCK, payload=b"y", size_bits=8)),
+    "write whose size_bits lies": (WRITE, (0, 2), NEWER, dataclasses.replace(
+        GOOD_BLOCK, size_bits=D * 4)),
+    "write of a block index outside the scheme": (
+        WRITE, (0, 2), NEWER, dataclasses.replace(GOOD_BLOCK, index=3)),
+}
 
 
 class TestServerProtocol:
@@ -114,6 +138,18 @@ class TestServerProtocol:
         server = make_server()
         with pytest.raises(ProtocolError):
             server.handle("c", ("gossip", (0, 1)))
+
+    @pytest.mark.parametrize(
+        "request_", MALFORMED_REQUESTS.values(), ids=MALFORMED_REQUESTS.keys()
+    )
+    def test_malformed_request_raises_with_state_untouched(self, request_):
+        applies = []
+        server = make_server(on_apply=lambda ts, block: applies.append(ts))
+        before = dataclasses.replace(server.state)
+        with pytest.raises(ProtocolError):
+            server.handle("c", request_)
+        assert server.state == before
+        assert server.applied_count == 0 and applies == []
 
     def test_on_apply_fires_before_ack(self):
         """The write-ahead contract: journal append precedes the ack."""
@@ -182,6 +218,13 @@ class TestWriteOperation:
         op.start()
         assert op.on_message("s0", (REPLY_TS, (99, 1), TS_ZERO)) == []
         assert op.on_message("s0", (REPLY_ACK, (3, 1))) == []
+
+    def test_reply_too_short_to_unpack_is_ignored(self):
+        op = self.make()
+        op.start()
+        for stray in ((), (1,), (REPLY_TS,)):
+            assert op.on_message("s0", stray) == []
+        assert op.answered() == []
 
     def test_resend_targets_only_silent_servers(self):
         op = self.make()
