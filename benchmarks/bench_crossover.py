@@ -175,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--checkpoint", type=str, default=None,
-        help="JSONL journal path for checkpoint/resume",
+        help="journal path for checkpoint/resume",
     )
     parser.add_argument(
         "--resume", action="store_true",

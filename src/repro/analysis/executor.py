@@ -21,16 +21,16 @@ ideal process-pool workload. This module is the one engine that runs them:
   included.
 
 * checkpoint/resume — with ``checkpoint=path`` every completed cell is
-  appended to a JSONL journal as it finishes (single writer: the parent
+  appended to a binary journal as it finishes (single writer: the parent
   process). An interrupted sweep — Ctrl-C, a CI timeout, a crash —
   resumes with ``resume=True`` without recomputing finished cells. The
   journal header pins a SHA-256 hash of the full cell list and engine
   knobs; resuming against a different grid, scenario set, or knob value
   raises :class:`~repro.errors.CheckpointError` instead of silently
   merging incompatible measurements. The file is a
-  :class:`repro.journal.SignedJournal`: unterminated trailing text (the
-  classic kill-mid-write artifact) is ignored and that cell recomputed; a
-  newline-terminated line that does not parse raises.
+  :class:`repro.journal.SignedJournal`: a torn last record (the classic
+  kill-mid-write artifact) is ignored and that cell recomputed; a whole
+  record that fails its checksum or does not parse raises.
 
 The per-cell work itself lives in :mod:`repro.analysis.sweeps`
 (:func:`~repro.analysis.sweeps.execute_cell`); this module only decides
@@ -96,16 +96,16 @@ def sweep_signature(
 
 
 class SweepJournal(SignedJournal):
-    """Append-only JSONL checkpoint of completed sweep cells.
+    """Append-only checkpoint of completed sweep cells.
 
-    Line 0 is a header pinning the sweep signature and cell count; every
-    further line is one completed cell: ``{"cell": index, "record":
-    {...}}`` with ``index`` the cell's position in the
+    Record 1 is a header pinning the sweep signature and cell count; every
+    further record is one completed cell, its body the JSON ``{"cell":
+    index, "record": {...}}`` with ``index`` the cell's position in the
     :func:`~repro.analysis.sweeps.sweep_cells` order. The parent process
-    is the only writer, so the file needs no locking; unterminated
-    trailing text left by an interruption is ignored (that cell is simply
-    recomputed), and anything else that does not parse, or that belongs to
-    a different sweep, raises :class:`~repro.errors.CheckpointError`.
+    is the only writer, so the file needs no locking; a torn last record
+    left by an interruption is ignored (that cell is simply recomputed),
+    and anything else that does not check or parse, or that belongs to a
+    different sweep, raises :class:`~repro.errors.CheckpointError`.
     """
 
     MAGIC = "repro-sweep-journal"
@@ -122,11 +122,12 @@ class SweepJournal(SignedJournal):
         :class:`~repro.errors.CheckpointError` when the header is missing
         or pins a different sweep (grid, scenarios, engine knobs, or cell
         count), when a cell index falls outside the grid, or when any
-        newline-terminated line is malformed.
+        whole record is damaged or malformed.
         """
-        return dict(super().load())
+        return dict(self.records())
 
-    def _decode(self, entry: dict) -> tuple[int, SweepRecord]:
+    def _decode(self, body: bytes) -> tuple[int, SweepRecord]:
+        entry = json.loads(body)
         index = entry["cell"]
         if not 0 <= index < self.total_cells:
             raise ValueError(
@@ -137,7 +138,8 @@ class SweepJournal(SignedJournal):
 
     def append(self, index: int, record: SweepRecord) -> None:
         """Persist one completed cell (flushed immediately)."""
-        self._write_line({"cell": index, "record": asdict(record)})
+        body = {"cell": index, "record": asdict(record)}
+        self._write_record(json.dumps(body, sort_keys=True).encode())
 
 
 # ------------------------------------------------------------ worker side
@@ -303,7 +305,7 @@ def run_sweep(
       an ``N``-process spawn pool; the merged result is byte-identical to
       the ``workers=1`` run under ``to_json(include_timing=False)`` for
       any ``N``.
-    * ``checkpoint`` — JSONL journal path. Completed cells stream to it;
+    * ``checkpoint`` — journal path. Completed cells stream to it;
       pass ``resume=True`` to load previously completed cells instead of
       recomputing them. A journal written for a different sweep
       (different cells, scenarios, or engine knobs) raises

@@ -615,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="process-pool size (1 = serial; results "
                               "byte-identical)")
     p_sweep.add_argument("--checkpoint", type=str, default=None,
-                         help="JSONL journal path for checkpoint/resume")
+                         help="journal path for checkpoint/resume")
     p_sweep.add_argument("--resume", action="store_true",
                          help="resume from an existing --checkpoint journal")
     p_sweep.add_argument("--output", type=str, default=None,

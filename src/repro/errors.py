@@ -67,10 +67,10 @@ class WireError(ServiceError):
 class JournalError(ServiceError, CheckpointError):
     """A replica journal is unusable (wrong replica config, corrupt body).
 
-    Mirrors :class:`CheckpointError` semantics — a truncated trailing
-    line (the kill-mid-write artifact) is tolerated by loaders, anything
-    else raises — and subclasses it so journal-aware callers can catch
-    either domain with one clause.
+    Mirrors :class:`CheckpointError` semantics — a torn last record (the
+    kill-mid-write artifact) is tolerated by loaders, anything else
+    raises — and subclasses it so journal-aware callers can catch either
+    domain with one clause.
     """
 
 

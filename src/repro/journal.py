@@ -1,22 +1,25 @@
-"""The one signed, append-only JSONL journal both persistence layers use.
+"""The one signed, append-only binary journal both persistence layers use.
 
 Sweep checkpoints (:class:`repro.analysis.executor.SweepJournal`) and
 replica write-ahead logs (:class:`repro.service.journal.ReplicaJournal`)
-are the same file: line 1 is a header pinning a magic string, a format
-version, a SHA-256 signature of everything that must match for the file to
-be reusable, and any extra pinned fields; every further line is one record.
-:class:`SignedJournal` owns that file — header, flush-per-line write, the
-tail rule, trim-before-append, and which error type to raise — and each
-journal kind is only a record <-> dict codec on top of it.
+are the same file: :data:`FILE_MAGIC`, then records, each a ``>III`` head
+(body length, ``crc32(body)``, ``crc32`` of the head's first 8 bytes) and
+its body. Record 1 is the signed header, a JSON body pinning a magic
+string, a format version, a SHA-256 signature of everything that must match
+for the file to be reusable, and any extra pinned fields.
+:class:`SignedJournal` owns the file — framing, checksums, flush per
+record, the tail rule, trim-before-append, the error type — and each
+journal kind is only a record <-> body-bytes codec on top of it.
 
-**Tail rule:** a line exists iff its terminating ``\\n`` is on disk. The
-single writer flushes each line whole, so the only artifact a kill can
-leave is unterminated trailing text; :meth:`SignedJournal.load` ignores it
-and :meth:`SignedJournal.open_for_append` truncates it away, whether or not
-it happens to parse (its write was never acknowledged, so dropping it is
-indistinguishable from the kill arriving a moment earlier). A *terminated*
-line that does not parse or decode is damage, never a crash artifact, and
-raises — last line included.
+**Tail rule:** a record exists iff its whole head and body are on disk. The
+single writer flushes each record whole, so a kill can only leave a short
+head, or a short body behind a head whose checksum holds: ``load`` ignores
+it and ``open_for_append`` truncates it (that write was never
+acknowledged). Anything else — a foreign magic, a checksum mismatch, a body
+the codec cannot decode — is damage and raises, last record included, and
+the file is left untouched. CRC-32 catches every single-bit flip, so a
+flipped length cannot pass for a torn tail and roll back an acknowledged
+write.
 
 Durability is ``flush()``, not ``fsync``: a record survives the death of
 the writing process (SIGKILL), not the loss of the machine's page cache.
@@ -25,25 +28,36 @@ the writing process (SIGKILL), not the loss of the machine's page cache.
 from __future__ import annotations
 
 import json
+import struct
+import zlib
+from collections.abc import Iterator
 from pathlib import Path
 
 from repro.errors import CheckpointError
 
+#: First bytes of every journal file. The high byte and the newline catch
+#: text-mode mangling; a JSONL-era file (``{``) fails here.
+FILE_MAGIC = b"\x89repjnl\n"
+
+#: Record head: body length, crc32(body), crc32 of the first 8 head bytes.
+_HEAD = struct.Struct(">III")
+_CHECKED, _CRC = struct.Struct(">II"), struct.Struct(">I")
+
 
 class SignedJournal:
-    """A signed append-only JSONL file; subclasses supply the record codec.
+    """A signed append-only binary file; subclasses supply the record codec.
 
     A subclass sets :attr:`MAGIC`, :attr:`VERSION`, :attr:`OWNER` and
     (optionally) :attr:`ERROR`, implements :meth:`_decode`, and adds an
-    ``append`` that builds one record dict and hands it to
-    :meth:`_write_line`. Keyword arguments beyond ``signature`` are extra
+    ``append`` that builds one record body and hands it to
+    :meth:`_write_record`. Keyword arguments beyond ``signature`` are extra
     header fields pinned exactly like the signature.
     """
 
     #: Header magic naming the journal kind.
     MAGIC = ""
     #: File format version of this journal kind.
-    VERSION = 1
+    VERSION = 2
     #: What the signature identifies, for the foreign-file refusal message.
     OWNER = ""
     #: Raised for every unusable-file condition.
@@ -57,52 +71,75 @@ class SignedJournal:
 
     # ------------------------------------------------------------- reading
 
-    def _decode(self, entry: dict):
-        """Rebuild one record from its line's dict (codec hook).
+    def _decode(self, body: bytes):
+        """Rebuild one record from its body bytes (codec hook).
 
         ``KeyError``/``IndexError``/``TypeError``/``ValueError`` raised
-        here are reported as a malformed entry at that line.
+        here are reported as a malformed record.
         """
         raise NotImplementedError
 
-    def _complete(self) -> bytes:
-        """Every byte up to the last newline on disk (the tail rule)."""
+    def _walk(self, handle) -> Iterator[tuple[int, bytes]]:
+        """``(end offset, body)`` of every whole record, header first,
+        streamed one body at a time; raises on damage, stops at a torn
+        tail."""
+        magic = handle.read(len(FILE_MAGIC))
+        if magic != FILE_MAGIC[:len(magic)]:
+            raise self.ERROR(
+                f"{self.path}: not a {self.MAGIC} file (file magic "
+                f"{magic!r}, expected {FILE_MAGIC!r}); refusing to touch it"
+            )
+        if magic != FILE_MAGIC:
+            return  # empty, or killed while writing the magic itself
+        end = len(magic)
+        number = 0
+        while head := handle.read(_HEAD.size):
+            if len(head) < _HEAD.size:
+                return
+            number += 1
+            length, body_crc, head_crc = _HEAD.unpack(head)
+            if zlib.crc32(head[:8]) != head_crc:
+                raise self._corrupt(number, end, "head")
+            body = handle.read(length)
+            if len(body) < length:
+                return
+            if zlib.crc32(body) != body_crc:
+                raise self._corrupt(number, end, "body")
+            if number == 1:
+                self._check_header(body)
+            end += _HEAD.size + length
+            yield end, body
+
+    def _corrupt(self, number: int, end: int, part: str):
+        return self.ERROR(
+            f"{self.path}: record {number} at byte {end}: corrupt journal "
+            f"record ({part} checksum mismatch)"
+        )
+
+    def records(self) -> Iterator:
+        """Decoded records in file order, validated, one in memory at a
+        time (nothing when no whole record is on disk). Raises
+        :attr:`ERROR` for a foreign magic, a missing or foreign header,
+        and any whole record — the last included — that fails a checksum
+        or does not decode."""
         if not self.path.exists():
-            return b""
-        data = self.path.read_bytes()
-        return data[: data.rfind(b"\n") + 1]
+            return
+        with open(self.path, "rb") as handle:
+            walk = self._walk(handle)
+            next(walk, None)  # the header record, checked by the walk
+            for number, (_end, body) in enumerate(walk, start=2):
+                try:
+                    record = self._decode(body)
+                except (KeyError, IndexError, TypeError, ValueError) as error:
+                    raise self.ERROR(
+                        f"{self.path}: record {number}: malformed journal "
+                        f"record: {error}"
+                    ) from error
+                yield record
 
     def load(self) -> list:
-        """Decoded records of every complete line, validated, in file order.
-
-        Returns ``[]`` when the journal does not exist or holds no complete
-        line. Raises :attr:`ERROR` when the header is missing or pins a
-        different magic, version, signature or pinned field, and when any
-        complete line — the last one included — fails to parse or decode.
-        """
-        records = []
-        lines = self._complete().split(b"\n")[:-1]
-        for number, line in enumerate(lines, start=1):
-            try:
-                entry = json.loads(line)
-            except ValueError as error:
-                raise self.ERROR(
-                    f"{self.path}:{number}: corrupt journal line: {error}"
-                ) from error
-            if not isinstance(entry, dict):
-                raise self.ERROR(
-                    f"{self.path}:{number}: journal line is not an object"
-                )
-            if number == 1:
-                self._check_header(entry)
-                continue
-            try:
-                records.append(self._decode(entry))
-            except (KeyError, IndexError, TypeError, ValueError) as error:
-                raise self.ERROR(
-                    f"{self.path}:{number}: malformed journal entry: {error}"
-                ) from error
-        return records
+        """Every decoded record, in file order (see :meth:`records`)."""
+        return list(self.records())
 
     def _header(self) -> dict:
         return {
@@ -112,8 +149,12 @@ class SignedJournal:
             **self.pinned,
         }
 
-    def _check_header(self, header: dict) -> None:
-        if header.get("journal") != self.MAGIC:
+    def _check_header(self, body: bytes) -> None:
+        try:
+            header = json.loads(body)
+        except ValueError:
+            header = None
+        if not isinstance(header, dict) or header.get("journal") != self.MAGIC:
             raise self.ERROR(
                 f"{self.path}: not a {self.MAGIC} file (missing header)"
             )
@@ -133,22 +174,27 @@ class SignedJournal:
     # ------------------------------------------------------------- writing
 
     def open_for_append(self) -> None:
-        """Open for appending; write the header when nothing is on disk.
-
-        Unterminated trailing text (see the tail rule) is truncated away
-        first — appending after it would fuse two lines into one
-        permanently corrupt line. Does not validate the file: call
-        :meth:`load` first when it may hold someone else's records.
-        """
+        """Open for appending, after the walk has validated every record
+        (a foreign or damaged file raises untouched); truncate a torn tail,
+        and write magic and header when no whole header record exists."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        complete = self._complete()
-        self._handle = open(self.path, "a")
-        self._handle.truncate(len(complete))
-        if not complete:
-            self._write_line(self._header())
+        end = 0
+        if self.path.exists():
+            with open(self.path, "rb") as handle:
+                for end, _body in self._walk(handle):
+                    pass  # validate every record; keep the last end
+        self._handle = open(self.path, "ab")
+        self._handle.truncate(end)
+        if not end:
+            self._handle.write(FILE_MAGIC)
+            self._write_record(
+                json.dumps(self._header(), sort_keys=True).encode()
+            )
 
-    def _write_line(self, payload: dict) -> None:
-        self._handle.write(json.dumps(payload, sort_keys=True) + "\n")
+    def _write_record(self, body: bytes) -> None:
+        checked = _CHECKED.pack(len(body), zlib.crc32(body))
+        self._handle.write(checked + _CRC.pack(zlib.crc32(checked)))
+        self._handle.write(body)
         self._handle.flush()
 
     def close(self) -> None:

@@ -400,7 +400,7 @@ def run_doctor(
             ReplicationCode.name,
         )
         try:
-            ReplicaJournal(state.journal_path(name), signature).load()
+            ReplicaJournal(state.journal_path(name), signature).entry_count()
         except JournalError as error:
             journal_problems.append(f"{name}: {error}")
     check("journals", not journal_problems,

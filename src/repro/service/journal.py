@@ -1,10 +1,13 @@
 """Append-only replica journal: crash recovery for one server.
 
-The file itself (signed header, flush-per-line, tail rule, hard error on
-any other damage) is :class:`repro.journal.SignedJournal`, shared with the
-sweep checkpoint; this module is the replica-state codec on top of it.
-Every write a server applies is appended **before** the acknowledgement
-leaves the process (write-ahead — see
+The file itself (magic, checksummed records, signed header, flush per
+record, tail rule, hard error on any other damage) is
+:class:`repro.journal.SignedJournal`, shared with the sweep checkpoint;
+this module is the replica-state codec on top of it. A record body is the
+applied write's ``Timestamp`` then its ``CodeBlock``, each in the value
+encoding of :mod:`repro.service.wire` — one encoding of a block in the
+whole service. Every write a server applies is appended **before** the
+acknowledgement leaves the process (write-ahead — see
 :class:`~repro.msgnet.protocol.ServerProtocol`'s ``on_apply`` contract), so
 a SIGKILLed server restarts exactly at the last state any client could
 have observed as acknowledged. Write-ahead here is ``flush()``, not
@@ -19,19 +22,20 @@ state.
 
 from __future__ import annotations
 
-import base64
 import hashlib
-import json
+import struct
 
-from repro.coding.oracles import BlockSource, CodeBlock
-from repro.errors import JournalError
+from repro.coding.oracles import CodeBlock
+from repro.errors import JournalError, WireError
 from repro.journal import SignedJournal
 from repro.registers.timestamps import Timestamp
+from repro.service.wire import _decode as decode_value
+from repro.service.wire import _encode as encode_value
 
 #: Journal file format version (independent of the wire schema).
-JOURNAL_VERSION = 1
+JOURNAL_VERSION = 2
 
-#: Magic string identifying a replica journal header line.
+#: Magic string identifying a replica journal header record.
 JOURNAL_MAGIC = "repro-replica-journal"
 
 
@@ -42,29 +46,23 @@ def replica_signature(
 
     Two server processes share a signature iff replaying one's journal
     into the other is sound: same replica identity, same cluster shape,
-    same value size, same coding scheme.
+    same value size, same coding scheme. The hashed bytes are the wire
+    encoding of those five fields, which is injective.
     """
-    payload = {
-        "name": name,
-        "index": index,
-        "f": f,
-        "data_size_bytes": data_size_bytes,
-        "scheme": scheme,
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    parts: list[bytes] = []
+    encode_value((name, index, f, data_size_bytes, scheme), parts, 0)
+    return hashlib.sha256(b"".join(parts)).hexdigest()
 
 
 class ReplicaJournal(SignedJournal):
-    """Append-only JSONL journal of one replica's applied writes.
+    """Append-only journal of one replica's applied writes.
 
-    Line 0 pins the magic, version, and replica signature; every further
-    line is one applied write ``{"ts": [num, client], "block": {...}}``.
-    The server process is the only writer. :meth:`load` returns the
-    applied writes as ``(Timestamp, CodeBlock)`` pairs in apply order,
-    ignores unterminated trailing text (that write was never acknowledged
-    — the ack follows the flush) and raises
-    :class:`~repro.errors.JournalError` for a foreign or damaged file.
+    The header record pins the magic, version, and replica signature; every
+    further record is one applied write. The server process is the only
+    writer. :meth:`load` returns ``(Timestamp, CodeBlock)`` pairs in apply
+    order, ignores a torn tail (never acknowledged — the ack follows the
+    flush) and raises :class:`~repro.errors.JournalError` for a foreign or
+    damaged file.
     """
 
     MAGIC = JOURNAL_MAGIC
@@ -72,17 +70,15 @@ class ReplicaJournal(SignedJournal):
     OWNER = "replica configuration"
     ERROR = JournalError
 
-    def _decode(self, entry: dict) -> tuple[Timestamp, CodeBlock]:
-        raw = entry["block"]
-        return (
-            Timestamp(int(entry["ts"][0]), entry["ts"][1]),
-            CodeBlock(
-                payload=base64.b64decode(raw["p"]),
-                index=int(raw["i"]),
-                source=BlockSource(int(raw["op"]), int(raw["si"])),
-                size_bits=int(raw["b"]),
-            ),
-        )
+    def _decode(self, body: bytes) -> tuple[Timestamp, CodeBlock]:
+        try:
+            ts, offset = decode_value(memoryview(body), 0, 0)
+            block, end = decode_value(memoryview(body), offset, 0)
+        except (struct.error, WireError) as error:
+            raise ValueError(error) from error
+        if (type(ts), type(block), end) != (Timestamp, CodeBlock, len(body)):
+            raise ValueError("body is not one (Timestamp, CodeBlock) write")
+        return ts, block
 
     def recovered(self) -> tuple[Timestamp, CodeBlock] | None:
         """The replica state to restart from: the highest journaled write.
@@ -91,26 +87,19 @@ class ReplicaJournal(SignedJournal):
         adopts strictly newer timestamps — so the journal is strictly
         increasing and the last entry is the recovery point. The maximum
         is taken anyway: recovery must not depend on an invariant the
-        crash may have interrupted.
+        crash may have interrupted. A running maximum over the record
+        walk: one block in memory beside the best so far.
         """
-        entries = self.load()
-        if not entries:
-            return None
-        return max(entries, key=lambda entry: entry[0])
+        return max(self.records(), key=lambda entry: entry[0], default=None)
 
     def append(self, ts: Timestamp, block: CodeBlock) -> None:
         """Persist one applied write (flushed before this returns)."""
-        self._write_line({
-            "ts": [ts.num, ts.client],
-            "block": {
-                "p": base64.b64encode(block.payload).decode("ascii"),
-                "i": block.index,
-                "op": block.source.op_uid,
-                "si": block.source.index,
-                "b": block.size_bits,
-            },
-        })
+        parts: list[bytes] = []
+        encode_value(ts, parts, 0)
+        encode_value(block, parts, 0)
+        self._write_record(b"".join(parts))
 
     def entry_count(self) -> int:
-        """Applied writes currently recoverable from the file."""
-        return len(self.load())
+        """Applied writes currently recoverable from the file (validates
+        every record, holds one at a time)."""
+        return sum(1 for _ in self.records())

@@ -6,7 +6,8 @@ One running cluster owns one state directory::
       meta.json        cluster config + spawn-time pids (daemon-written)
       <name>.pid       server-written after the socket is listening
       <name>.port      server-written actual bound port (ephemeral-safe)
-      <name>.journal.jsonl   append-only replica journal
+      <name>.journal.jsonl   append-only replica journal (binary records;
+                             the suffix predates the format)
       <name>.log       server stdout/stderr (daemon-spawned processes)
 
 Pid and port files are written by the *server process itself*, atomically

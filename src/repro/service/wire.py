@@ -30,6 +30,7 @@ CodeBlock  B     ``>qqqqI``  ``index, source.op_uid, source.index,
 Sequences decode to *tuples* — protocol payloads and request ids are
 tuples, and quorum rounds compare request ids by equality. A block's
 payload travels as itself: one copy into the frame, one copy out of it.
+The replica journal stores each write in this same value encoding.
 
 :func:`decode_payload` raises :class:`~repro.errors.WireError`, and
 nothing else, on an unknown type byte (the text frames of earlier

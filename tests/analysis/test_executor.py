@@ -193,11 +193,11 @@ class TestCheckpointJournal:
     ):
         checkpoint = self._checkpoint(tmp_path)
         run_sweep(GRID, scenarios=SCENARIOS, checkpoint=checkpoint)
-        lines = checkpoint.read_text().splitlines()
-        assert len(lines) == len(GRID) * 2 + 1  # header + one per cell
-        header = json.loads(lines[0])
-        assert header["journal"] == "repro-sweep-journal"
-        assert header["total_cells"] == len(GRID) * 2
+        cells = sweep_cells(GRID, SCENARIOS)
+        journal = SweepJournal(
+            checkpoint, sweep_signature(cells, **ENGINE_KNOBS), len(cells)
+        )
+        assert sorted(journal.load()) == list(range(len(GRID) * 2))
 
         def boom(*args, **kwargs):
             raise AssertionError("resume recomputed a completed cell")
@@ -226,14 +226,12 @@ class TestCheckpointJournal:
     def test_truncated_trailing_line_tolerated_and_recomputed(
         self, tmp_path, monkeypatch, serial_reference
     ):
-        """Kill-mid-write leaves half a JSON line; resume recomputes
+        """Kill-mid-write leaves half a record; resume recomputes
         exactly that cell and still reproduces the serial bytes."""
         checkpoint = self._checkpoint(tmp_path)
         run_sweep(GRID, scenarios=SCENARIOS, checkpoint=checkpoint)
-        text = checkpoint.read_text()
-        truncated = text.rstrip("\n")
-        truncated = truncated[: len(truncated) - 25]  # chop mid-record
-        checkpoint.write_text(truncated)
+        whole = checkpoint.read_bytes()
+        checkpoint.write_bytes(whole[:-25])  # chop mid-record
 
         calls = []
         real = executor_module.execute_cell
@@ -247,12 +245,13 @@ class TestCheckpointJournal:
         assert len(calls) == 1
         assert resumed.to_json(include_timing=False) == \
             serial_reference.to_json(include_timing=False)
-        # The resume must have trimmed the partial line before appending:
-        # the journal is whole again (every line parses, a second resume
-        # recomputes nothing and reproduces the same bytes).
-        assert checkpoint.read_text().endswith("\n")
-        for line in checkpoint.read_text().splitlines():
-            json.loads(line)
+        # The resume must have trimmed the partial record before
+        # appending: the journal is whole again (every cell loads, a
+        # second resume recomputes nothing and reproduces the same bytes).
+        cells = sweep_cells(GRID, SCENARIOS)
+        assert len(SweepJournal(
+            checkpoint, sweep_signature(cells, **ENGINE_KNOBS), len(cells)
+        ).load()) == len(cells)
         again = run_sweep(GRID, scenarios=SCENARIOS, checkpoint=checkpoint,
                           resume=True)
         assert len(calls) == 1  # nothing recomputed the second time
@@ -262,9 +261,9 @@ class TestCheckpointJournal:
     def test_corrupt_interior_line_raises(self, tmp_path):
         checkpoint = self._checkpoint(tmp_path)
         run_sweep(GRID, scenarios=SCENARIOS, checkpoint=checkpoint)
-        lines = checkpoint.read_text().splitlines()
-        lines[2] = lines[2][:10]  # corrupt a non-trailing line
-        checkpoint.write_text("\n".join(lines) + "\n")
+        data = bytearray(checkpoint.read_bytes())
+        data[len(data) // 2] ^= 0x20  # a byte inside a non-trailing record
+        checkpoint.write_bytes(bytes(data))
         with pytest.raises(CheckpointError, match="corrupt"):
             run_sweep(GRID, scenarios=SCENARIOS, checkpoint=checkpoint,
                       resume=True)
@@ -307,8 +306,11 @@ class TestCheckpointJournal:
         with pytest.raises(KeyboardInterrupt):
             run_sweep(GRID, scenarios=SCENARIOS, checkpoint=checkpoint,
                       progress=interrupter)
-        journaled = checkpoint.read_text().splitlines()
-        assert len(journaled) == interrupt_after + 1  # header + done cells
+        cells = sweep_cells(GRID, SCENARIOS)
+        journaled = SweepJournal(
+            checkpoint, sweep_signature(cells, **ENGINE_KNOBS), len(cells)
+        ).load()
+        assert len(journaled) == interrupt_after
 
         resumed_cells = []
         resumed = run_sweep(
@@ -363,9 +365,11 @@ class TestCheckpointJournal:
     def test_not_a_journal_raises(self, tmp_path):
         checkpoint = self._checkpoint(tmp_path)
         checkpoint.write_text('{"some": "other json"}\n')
-        with pytest.raises(CheckpointError, match="header"):
+        with pytest.raises(CheckpointError, match="file magic"):
             run_sweep(GRID, scenarios=SCENARIOS, checkpoint=checkpoint,
                       resume=True)
+        assert checkpoint.read_text() == '{"some": "other json"}\n'
+
 
 
 class TestSweepSignature:
