@@ -13,7 +13,12 @@ in both incarnations and compares:
 
 
 from repro.analysis import format_table
-from repro.msgnet import FairMsgScheduler, MsgABDSystem, RandomMsgScheduler
+from repro.msgnet import (
+    FairMsgScheduler,
+    MsgABDSystem,
+    RandomMsgScheduler,
+    run_network,
+)
 from repro.registers import ABDRegister, replication_setup
 from repro.spec import check_strong_regularity
 from repro.workloads import WorkloadSpec, run_register_workload
@@ -63,20 +68,16 @@ def test_replicas_ride_the_network(benchmark, record_table):
     def run():
         system = MsgABDSystem(f=F, data_size_bytes=DATA)
         system.add_writer("w0", b"\xaa" * DATA)
-        scheduler = FairMsgScheduler()
-        peak_in_flight = 0
-        for _ in range(10_000):
+        peak_in_flight = system.network.storage_bits_in_flight()
+
+        def observe(network, msg_id):
+            nonlocal peak_in_flight
             peak_in_flight = max(
-                peak_in_flight, system.network.storage_bits_in_flight()
+                peak_in_flight, network.storage_bits_in_flight()
             )
-            action = scheduler.next_action(system.network)
-            if action is None:
-                break
-            kind, target = action
-            if kind == "deliver":
-                system.network.deliver(target)
-            else:
-                system.network.processes[target].step()
+
+        run_network(system.network, FairMsgScheduler(), max_steps=10_000,
+                    on_action=observe)
         return system, peak_in_flight
 
     system, peak = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -6,8 +6,8 @@ that routes every client<->server message through a
 multiset:
 
 * **drop** — the message never enters the network;
-* **delay** — the message is parked and re-injected ``ticks`` scheduler
-  actions later;
+* **delay** — the message is parked and re-injected ``ticks`` deliveries
+  later;
 * **duplicate** — two copies enter the network (the protocol machines
   deduplicate by sender, so this stresses exactly the at-least-once
   tolerance the TCP client's resends rely on);
@@ -20,10 +20,15 @@ multiset:
   configured ticks (a permanently laggy follower, not a fault event).
 
 The clock is scheduler time: :meth:`~repro.msgnet.abd.MsgABDSystem.run`
-reports each action via :meth:`advance`. When the network quiesces with
-messages still parked (or windows still pending), :func:`run_chaos`
-fast-forwards the clock to the next wakeup and keeps going — and re-emits
-blocked operations' unanswered requests
+reports each delivery via :meth:`advance`. Every reply a node's handler
+returns is sent through :meth:`FaultyNetwork.send`, so the fault layer
+sees all traffic. A message in the network is in flight and charged, or
+consumed by its handler; a message the fault layer parks (delay, reorder
+hold, slowdown) enters the network, and is charged, only when released.
+
+When the network quiesces with messages still parked (or windows still
+pending), :func:`run_chaos` fast-forwards the clock to the next wakeup
+and keeps going — and re-emits blocked operations' unanswered requests
 (:meth:`~repro.msgnet.abd.MsgABDSystem.resend_pending`), mirroring the
 TCP client's retry loop, until every operation returns or the round
 budget is exhausted.
@@ -43,7 +48,7 @@ from repro.faults.plan import (
     server_link,
 )
 from repro.msgnet.abd import MsgABDSystem
-from repro.msgnet.network import MsgScheduler, Network
+from repro.msgnet.network import FairMsgScheduler, MsgScheduler, Network
 
 
 class FaultyNetwork(Network):
@@ -242,7 +247,7 @@ def run_chaos(
     network = system.network
     if not isinstance(network, FaultyNetwork):
         raise FaultPlanError("run_chaos needs a FaultyNetwork-backed system")
-    scheduler = scheduler or _default_scheduler()
+    scheduler = scheduler or FairMsgScheduler()
     stats = ChaosRunStats()
     while True:
         stats.steps += system.run(scheduler, max_steps=max_steps)
@@ -270,12 +275,6 @@ def run_chaos(
     stats.firing_counts = network.injector.firing_counts()
     stats.window_drops = network.injector.total_window_drops()
     return stats
-
-
-def _default_scheduler() -> MsgScheduler:
-    from repro.msgnet.network import FairMsgScheduler
-
-    return FairMsgScheduler()
 
 
 __all__ = [

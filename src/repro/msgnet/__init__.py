@@ -1,16 +1,18 @@
 """Asynchronous message-passing substrate and ABD in its native form.
 
 The shared-memory model of Section 2 abstracts storage nodes reached over
-a network; this package provides that concrete layer (processes, in-flight
+a network; this package provides that concrete layer (nodes, in-flight
 messages, adversary-controlled delivery) plus the Attiya-Bar-Noy-Dolev
 register implemented directly on messages, so the emulation equivalence
 the paper's model rests on can be exercised end to end.
 
 The protocol logic itself (timestamps, quorums, coded replica blocks) is
 transport-agnostic: :mod:`repro.msgnet.protocol` holds the sans-I/O state
-machines, :mod:`repro.msgnet.transport` defines the :class:`Transport`
-seam and its simulated implementation, and :mod:`repro.service` runs the
-*same* machines over asyncio TCP sockets.
+machines, whose step functions :mod:`repro.msgnet.abd` registers as node
+handlers on the simulated :class:`Network`, and :mod:`repro.service` runs
+the *same* machines over asyncio TCP sockets. Delivering a message runs
+its recipient's handler, so a message is in flight and charged, or
+consumed by its handler.
 """
 
 from repro.msgnet.abd import MsgABDSystem, OpRecord, ServerState
@@ -19,21 +21,14 @@ from repro.msgnet.network import (
     Message,
     MsgScheduler,
     Network,
-    Process,
+    Node,
     RandomMsgScheduler,
-    Receive,
     run_network,
 )
 from repro.msgnet.protocol import (
     ReadOperation,
     ServerProtocol,
     WriteOperation,
-)
-from repro.msgnet.transport import (
-    SimTransport,
-    Transport,
-    operation_body,
-    server_body,
 )
 
 __all__ = [
@@ -42,17 +37,12 @@ __all__ = [
     "MsgABDSystem",
     "MsgScheduler",
     "Network",
+    "Node",
     "OpRecord",
-    "Process",
     "RandomMsgScheduler",
     "ReadOperation",
-    "Receive",
     "ServerProtocol",
     "ServerState",
-    "SimTransport",
-    "Transport",
     "WriteOperation",
-    "operation_body",
     "run_network",
-    "server_body",
 ]

@@ -11,9 +11,8 @@ Since the protocol/transport split, the state machines themselves live in
 :class:`~repro.msgnet.protocol.WriteOperation`,
 :class:`~repro.msgnet.protocol.ReadOperation`) — the very same classes the
 asyncio TCP service (:mod:`repro.service`) runs over real sockets. This
-module is only the *simulated deployment*: it instantiates the machines on
-:mod:`repro.msgnet.network` processes via
-:mod:`repro.msgnet.transport`'s generator drivers.
+module is only the *simulated deployment*: it registers each machine's
+step function as the handler of one :mod:`repro.msgnet.network` node.
 
 The point of the module is the *equivalence* the paper relies on: the
 message-passing system and the shared-memory emulation have the same
@@ -37,13 +36,13 @@ from repro.msgnet.network import (
     run_network,
 )
 from repro.msgnet.protocol import (
+    Outgoing,
     Payload,
     ReadOperation,
     ServerProtocol,
     ServerState,
     WriteOperation,
 )
-from repro.msgnet.transport import operation_body, server_body
 from repro.sim.trace import OpKind
 from repro.spec.histories import History, HOp
 
@@ -87,10 +86,9 @@ class MsgABDSystem:
         self._next_op_uid = 0
         self.server_names = [f"s{i}" for i in range(self.n)]
         for index, name in enumerate(self.server_names):
-            process = self.network.add_process(name)
             protocol = ServerProtocol(name, self.scheme, index, self.v0)
             self.server_states[name] = protocol.state
-            process.start(server_body(process, protocol))
+            self.network.add_node(name, protocol.handle)
 
     # ------------------------------------------------------------- clients
 
@@ -118,17 +116,24 @@ class MsgABDSystem:
         self.ops.append(record)
         log = self.deliveries.setdefault(name, [])
         self.live_ops[name] = operation
-        process = self.network.add_process(name)
 
-        def finish(op):
-            record.return_time = self.clock
-            record.result = op.result
-            self.live_ops.pop(name, None)
+        def handle(sender: str, payload: Payload) -> Outgoing:
+            # An operation that never reaches its quorum simply never
+            # finishes — as it must beyond ``f`` crashes. Replies after it
+            # finished are consumed and ignored.
+            if operation.done:
+                return []
+            log.append((sender, payload))
+            outgoing = operation.on_message(sender, payload)
+            if operation.done:
+                record.return_time = self.clock
+                record.result = operation.result
+                self.live_ops.pop(name, None)
+            return outgoing
 
-        process.start(operation_body(
-            process, operation, on_done=finish,
-            on_deliver=lambda sender, payload: log.append((sender, payload)),
-        ))
+        self.network.add_node(name, handle)
+        for recipient, payload in operation.start():
+            self.network.send(name, recipient, payload)
 
     # ----------------------------------------------------------------- run
 
@@ -136,7 +141,7 @@ class MsgABDSystem:
             max_steps: int = 200_000) -> int:
         scheduler = scheduler or FairMsgScheduler()
 
-        def tick(network, action):
+        def tick(network, msg_id):
             self.clock += 1
             network.advance(self.clock)
 
@@ -147,7 +152,7 @@ class MsgABDSystem:
         """Re-emit every blocked operation's unanswered requests.
 
         The simulated analogue of the TCP client's retry timer: under
-        message loss the no-resend generator bodies block forever, so an
+        message loss an operation without resends blocks forever, so an
         outer driver (:func:`repro.faults.simnet.run_chaos`) calls this
         between scheduling rounds. Re-sent requests traverse the network
         (and any installed fault layer) like first sends; the protocol
@@ -156,8 +161,7 @@ class MsgABDSystem:
         """
         emitted = 0
         for name, operation in list(self.live_ops.items()):
-            process = self.network.processes[name]
-            if process.crashed or process.terminated:
+            if self.network.nodes[name].crashed:
                 continue
             for recipient, payload in operation.resend():
                 self.network.send(name, recipient, payload)
@@ -172,7 +176,7 @@ class MsgABDSystem:
         )
 
     def crash_server(self, name: str) -> None:
-        self.network.crash_process(name)
+        self.network.crash_node(name)
 
     # ------------------------------------------------------------ metering
 
@@ -181,7 +185,7 @@ class MsgABDSystem:
         return sum(
             state.block.size_bits
             for name, state in self.server_states.items()
-            if not self.network.processes[name].crashed
+            if not self.network.nodes[name].crashed
         )
 
     def total_storage_bits(self) -> int:

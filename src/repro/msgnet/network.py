@@ -5,18 +5,21 @@ abstraction of a *message-passing* system where each base object lives on
 a storage node reachable over an asynchronous network (the reduction of
 Attiya-Bar-Noy-Dolev [4]). This package provides that concrete layer:
 
-* :class:`Process` — a generator coroutine with a mailbox; it sends
-  messages and yields :class:`Receive` to await delivery;
-* :class:`Network` — the in-flight message multiset plus crash state;
-  delivery order is fully scheduler-controlled (per-link FIFO is *not*
-  assumed — the weakest, paper-compatible network);
+* :class:`Node` — a name, a crash flag and a handler
+  ``(sender, payload) -> [(recipient, payload), ...]``: the signature of
+  the sans-I/O machines in :mod:`repro.msgnet.protocol`;
+* :class:`Network` — the in-flight message multiset plus crash state.
+  Delivering a message runs its recipient's handler and sends what it
+  returns; the order is fully scheduler-controlled (per-link FIFO is
+  *not* assumed — the weakest, paper-compatible network);
 * :class:`MsgScheduler` implementations — fair and seeded-random.
 
 Storage accounting carries over unchanged: a message payload may contain
 :class:`~repro.coding.oracles.CodeBlock` instances, and
-:func:`network_storage_bits` charges them exactly like the kernel charges
-pending RMW parameters — "information in channels is counted"
-(Section 3.2).
+:meth:`Network.storage_bits_in_flight` charges them exactly like the
+kernel charges pending RMW parameters — "information in channels is
+counted" (Section 3.2). A message is in flight and charged, or consumed
+by its handler; nothing sits in between.
 """
 
 from __future__ import annotations
@@ -24,10 +27,14 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Generator
+from typing import Any, Callable
 
 from repro.errors import ProtocolError, SimulationError
 from repro.storage.blockstore import collect_blocks
+
+#: What a node does with one delivery: ``handler(sender, payload)`` returns
+#: the messages to send, ``[(recipient, payload), ...]``.
+Handler = Callable[[str, Any], list]
 
 
 @dataclass(frozen=True)
@@ -44,102 +51,36 @@ class Message:
 
 
 @dataclass
-class Receive:
-    """Yielded by a process: resume when at least one message is queued."""
+class Node:
+    """A named endpoint: deliveries to it run ``handler``."""
 
-
-ProcessBody = Generator[Receive, Message, None]
-
-
-class Process:
-    """A named process driven by a generator coroutine.
-
-    The body communicates by calling :meth:`Network.send` (via its handle)
-    and yielding :class:`Receive`; the network resumes it with one queued
-    message per resumption.
-    """
-
-    def __init__(self, name: str, network: "Network") -> None:
-        self.name = name
-        self.network = network
-        self.mailbox: list[Message] = []
-        self.body: ProcessBody | None = None
-        self.crashed = False
-        self.terminated = False
-        self._waiting = False
-
-    # ------------------------------------------------------------- actions
-
-    def send(self, recipient: str, payload: Any) -> None:
-        self.network.send(self.name, recipient, payload)
-
-    def start(self, body: ProcessBody) -> None:
-        if self.body is not None:
-            raise ProtocolError(f"process {self.name} already started")
-        self.body = body
-        self._advance(None)
-
-    def deliver(self, message: Message) -> None:
-        """Queue a message; the scheduler later steps the process."""
-        self.mailbox.append(message)
-
-    def runnable(self) -> bool:
-        if self.crashed or self.terminated or self.body is None:
-            return False
-        return not self._waiting or bool(self.mailbox)
-
-    def step(self) -> None:
-        """Resume the body with the oldest queued message (if waiting)."""
-        if self.crashed or self.terminated:
-            raise ProtocolError(f"stepping dead process {self.name}")
-        if self._waiting:
-            if not self.mailbox:
-                return
-            message = self.mailbox.pop(0)
-            self._advance(message)
-        else:
-            self._advance(None)
-
-    def _advance(self, message: Message | None) -> None:
-        try:
-            yielded = self.body.send(message)
-        except StopIteration:
-            self.terminated = True
-            self._waiting = False
-            return
-        if not isinstance(yielded, Receive):
-            raise ProtocolError(
-                f"process {self.name} yielded {type(yielded).__name__}; "
-                "expected Receive"
-            )
-        self._waiting = True
-
-    def crash(self) -> None:
-        self.crashed = True
+    name: str
+    handler: Handler
+    crashed: bool = False
 
 
 class Network:
-    """The asynchronous network: processes + in-flight messages."""
+    """The asynchronous network: nodes + in-flight messages."""
 
     def __init__(self) -> None:
-        self.processes: dict[str, Process] = {}
+        self.nodes: dict[str, Node] = {}
+        #: In-flight messages by id; ids grow, so iteration is oldest first.
         self.in_flight: dict[int, Message] = {}
         self._next_msg_id = 0
         self.delivered_count = 0
 
     # ------------------------------------------------------------ topology
 
-    def add_process(self, name: str) -> Process:
-        if name in self.processes:
-            raise SimulationError(f"duplicate process {name!r}")
-        process = Process(name, self)
-        self.processes[name] = process
-        return process
+    def add_node(self, name: str, handler: Handler) -> Node:
+        if name in self.nodes:
+            raise SimulationError(f"duplicate node {name!r}")
+        node = Node(name, handler)
+        self.nodes[name] = node
+        return node
 
-    def crash_process(self, name: str) -> None:
-        process = self.processes[name]
-        process.crash()
-        # Messages addressed to a crashed process are dropped eagerly.
+    def crash_node(self, name: str) -> None:
+        self.nodes[name].crashed = True
+        # Messages addressed to a crashed node are dropped eagerly.
         for msg_id in [m for m, msg in self.in_flight.items()
                        if msg.recipient == name]:
             del self.in_flight[msg_id]
@@ -147,37 +88,26 @@ class Network:
     # ------------------------------------------------------------ transport
 
     def send(self, sender: str, recipient: str, payload: Any) -> None:
-        if recipient not in self.processes:
-            raise ProtocolError(f"send to unknown process {recipient!r}")
-        if self.processes[recipient].crashed:
+        if recipient not in self.nodes:
+            raise ProtocolError(f"send to unknown node {recipient!r}")
+        if self.nodes[recipient].crashed:
             return  # silently dropped
         message = Message(self._next_msg_id, sender, recipient, payload)
         self._next_msg_id += 1
         self.in_flight[message.msg_id] = message
 
-    def deliverable(self) -> list[Message]:
-        """In-flight messages whose recipient is alive, oldest first."""
-        return sorted(
-            (
-                message
-                for message in self.in_flight.values()
-                if not self.processes[message.recipient].crashed
-            ),
-            key=lambda message: message.msg_id,
-        )
-
     def deliver(self, msg_id: int) -> None:
+        """Consume one message: run its recipient's handler, send replies."""
         message = self.in_flight.pop(msg_id)
-        self.processes[message.recipient].deliver(message)
         self.delivered_count += 1
+        handler = self.nodes[message.recipient].handler
+        for recipient, payload in handler(message.sender, message.payload):
+            self.send(message.recipient, recipient, payload)
 
     # ------------------------------------------------------------ queries
 
-    def runnable_processes(self) -> list[Process]:
-        return [p for p in self.processes.values() if p.runnable()]
-
     def quiescent(self) -> bool:
-        return not self.deliverable() and not self.runnable_processes()
+        return not self.in_flight
 
     def storage_bits_in_flight(self) -> int:
         """Bits in code blocks riding the network right now."""
@@ -195,80 +125,46 @@ class Network:
 
 
 class MsgScheduler(ABC):
-    """Chooses the next network action: deliver a message or step a process."""
+    """Chooses the next message to deliver."""
 
     @abstractmethod
-    def next_action(self, network: Network) -> tuple[str, Any] | None:
-        """Return ("deliver", msg_id) or ("step", process_name) or None."""
+    def next_action(self, network: Network) -> int | None:
+        """Return the ``msg_id`` to deliver, or None when nothing is in flight."""
 
 
 class FairMsgScheduler(MsgScheduler):
-    """Alternate deliveries (FIFO) and process steps (LRU)."""
+    """Deliver the oldest in-flight message (global FIFO)."""
 
-    def __init__(self) -> None:
-        self._phase = 0
-        self._last_step: dict[str, int] = {}
-        self._counter = 0
-
-    def next_action(self, network: Network) -> tuple[str, Any] | None:
-        for offset in range(2):
-            phase = (self._phase + offset) % 2
-            if phase == 0:
-                deliverable = network.deliverable()
-                if deliverable:
-                    self._phase = (phase + 1) % 2
-                    return ("deliver", deliverable[0].msg_id)
-            else:
-                runnable = network.runnable_processes()
-                if runnable:
-                    runnable.sort(
-                        key=lambda p: self._last_step.get(p.name, -1)
-                    )
-                    chosen = runnable[0]
-                    self._counter += 1
-                    self._last_step[chosen.name] = self._counter
-                    self._phase = (phase + 1) % 2
-                    return ("step", chosen.name)
-        return None
+    def next_action(self, network: Network) -> int | None:
+        return next(iter(network.in_flight), None)
 
 
 class RandomMsgScheduler(MsgScheduler):
-    """Uniformly random enabled action (seeded)."""
+    """Deliver a uniformly random in-flight message (seeded)."""
 
     def __init__(self, seed: int = 0) -> None:
         self.rng = random.Random(seed)
 
-    def next_action(self, network: Network) -> tuple[str, Any] | None:
-        actions: list[tuple[str, Any]] = [
-            ("deliver", message.msg_id) for message in network.deliverable()
-        ]
-        actions.extend(
-            ("step", process.name)
-            for process in network.runnable_processes()
-        )
-        if not actions:
+    def next_action(self, network: Network) -> int | None:
+        if not network.in_flight:
             return None
-        return self.rng.choice(actions)
+        return self.rng.choice(list(network.in_flight))
 
 
 def run_network(
     network: Network,
     scheduler: MsgScheduler,
     max_steps: int = 200_000,
-    on_action=None,
+    on_action: Callable[[Network, int], None] | None = None,
 ) -> int:
-    """Drive the network until quiescence or budget; return steps taken."""
+    """Deliver until quiescence or budget; return deliveries made."""
     steps = 0
     while steps < max_steps:
-        action = scheduler.next_action(network)
-        if action is None:
+        msg_id = scheduler.next_action(network)
+        if msg_id is None:
             return steps
-        kind, target = action
-        if kind == "deliver":
-            network.deliver(target)
-        else:
-            network.processes[target].step()
+        network.deliver(msg_id)
         if on_action is not None:
-            on_action(network, action)
+            on_action(network, msg_id)
         steps += 1
     return steps

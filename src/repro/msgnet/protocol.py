@@ -22,7 +22,8 @@ which is what the sim-vs-TCP parity tests compare: the *same* machine
 driven over the simulated :class:`~repro.msgnet.network.Network` and over
 the asyncio TCP transport (``repro.service``) must log identical
 decisions. There is deliberately no protocol code anywhere else: both
-transports import these classes (see ``repro.msgnet.transport`` and
+transports import these classes (see ``repro.msgnet.abd``, which registers
+``handle``/``on_message`` as network node handlers, and
 ``repro.service.server`` / ``repro.service.client``).
 
 Message vocabulary (all payloads are tuples ``(tag, request_id, *rest)``;
@@ -186,15 +187,6 @@ class ServerProtocol:
                 f"{block.size_bits} bits ({len(block.payload)} payload "
                 f"bytes), scheme says {want_bits}"
             )
-
-    def bind(self, transport: "Transport") -> None:
-        """Drive this server from a push transport (see ``Transport``)."""
-        transport.on_receive(
-            lambda sender, payload: [
-                transport.send(recipient, reply)
-                for recipient, reply in self.handle(sender, payload)
-            ]
-        )
 
 
 # ------------------------------------------------------ client operations

@@ -22,7 +22,6 @@ from repro.sim.client import Client, OperationContext
 from repro.sim.failures import (
     CrashSchedule,
     FailurePlan,
-    after_op_returns,
     after_ops_complete,
     at_time,
     seeded_crash_schedule,
@@ -58,7 +57,6 @@ __all__ = [
     "Simulation",
     "Trace",
     "WaitResponses",
-    "after_op_returns",
     "after_ops_complete",
     "at_time",
     "seeded_crash_schedule",

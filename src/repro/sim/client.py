@@ -104,13 +104,6 @@ class OperationContext:
         for oracle in self._decode_oracles:
             oracle.expired = True
 
-    # -------------------------------------------------------------- queries
-
-    def responses(self, handles: list[RMWHandle] | None = None) -> list[Any]:
-        """Return the delivered responses among ``handles`` (default: all)."""
-        chosen = self.handles if handles is None else handles
-        return [handle.response for handle in chosen if handle.responded]
-
 
 class Client:
     """A storage client: a queue of operations, at most one outstanding."""
@@ -132,11 +125,6 @@ class Client:
         self.queue.append(QueuedOp(OpKind.READ))
 
     # -------------------------------------------------------------- status
-
-    @property
-    def idle(self) -> bool:
-        """No outstanding operation and nothing queued."""
-        return self.current is None and not self.queue
 
     def runnable(self) -> bool:
         """Can this client take a local step right now?"""

@@ -58,13 +58,6 @@ def after_ops_complete(count: int) -> CrashPredicate:
     return lambda sim: len(sim.trace.completed_ops()) >= count
 
 
-def after_op_returns(op_uid: int) -> CrashPredicate:
-    """Crash once a specific operation has returned."""
-    return lambda sim: (
-        op_uid in sim.trace.ops and sim.trace.ops[op_uid].complete
-    )
-
-
 @dataclass
 class FailurePlan(Scheduler):
     """Scheduler decorator that injects crashes.

@@ -38,7 +38,7 @@ action lists each step. Two invariants make this cheap:
 
 Mutation is funnelled through exactly four transitions — ``register_rmw``,
 ``apply_rmw``, ``deliver_response``, and the ``crash_*`` pair — each of
-which notifies registered :class:`KernelListener` hooks. The incremental
+which notifies the attached :class:`KernelListener` hooks. The incremental
 storage ledger (:class:`~repro.storage.cost.StorageLedger`) rides these
 hooks to keep Definition 2 bits as a delta ledger rather than re-walking
 the whole system state per action.
@@ -77,8 +77,8 @@ class KernelListener:
     Subclass and override the hooks you need; every hook is a no-op by
     default. Listeners are notified *after* the kernel's own bookkeeping,
     so the simulation state they observe is the post-transition state.
-    The incremental storage ledger is the canonical listener; tests attach
-    additional ones to assert transition-level invariants.
+    The incremental storage ledger is the only listener: the kernel
+    attaches it when :attr:`Simulation.storage_ledger` is first read.
     """
 
     def on_trigger(self, rmw: PendingRMW) -> None:
@@ -163,14 +163,7 @@ class Simulation:
         #: Also a pure cache — decoded values are identical either way.
         self.decode_cache = None
 
-    # ----------------------------------------------------------- listeners
-
-    def add_listener(self, listener: KernelListener) -> None:
-        """Attach a transition observer (see :class:`KernelListener`)."""
-        self._listeners.append(listener)
-
-    def remove_listener(self, listener: KernelListener) -> None:
-        self._listeners.remove(listener)
+    # ------------------------------------------------------------- ledger
 
     @property
     def storage_ledger(self) -> "StorageLedger":
@@ -213,9 +206,6 @@ class Simulation:
         client = Client(name, self)
         self.clients[name] = client
         return client
-
-    def client(self, name: str) -> Client:
-        return self.clients[name]
 
     # ------------------------------------------------------------ triggers
 

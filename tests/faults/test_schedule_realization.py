@@ -97,9 +97,9 @@ def realize_on_sim(plan):
     """Push ``horizon`` messages per link through FaultyNetwork.send."""
     injector = RecordingInjector(plan)
     network = FaultyNetwork(injector)
-    network.add_process("c")
+    network.add_node("c", lambda sender, payload: [])
     for name in plan.replicas:
-        network.add_process(name)
+        network.add_node(name, lambda sender, payload: [])
     for round_number in range(plan.horizon):
         for name in plan.replicas:
             network.send("c", name, ("ping", round_number))

@@ -109,13 +109,9 @@ class TestStorageEquivalence:
         for _ in range(1000):
             if system.network.storage_bits_in_flight() > 0:
                 break
-            action = scheduler.next_action(system.network)
-            assert action is not None
-            kind, target = action
-            if kind == "deliver":
-                system.network.deliver(target)
-            else:
-                system.network.processes[target].step()
+            msg_id = scheduler.next_action(system.network)
+            assert msg_id is not None
+            system.network.deliver(msg_id)
         in_flight = system.network.storage_bits_in_flight()
         assert in_flight == system.n * 16 * 8  # one replica per server
         assert system.total_storage_bits() == (
