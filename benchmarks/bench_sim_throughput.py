@@ -39,12 +39,10 @@ import time
 
 from repro.analysis import SweepGrid, SweepPoint, run_sweep
 from repro.analysis.benchgate import metric, write_bench_summary
-from repro.coding import DecodeShareCache
 from repro.registers import AdaptiveRegister, RegisterSetup
-from repro.sim import FairScheduler, Simulation
+from repro.sim import FairScheduler
 from repro.storage import PeakTracker, ReferenceStorageMeter, StorageMeter
-from repro.workloads import WorkloadSpec, run_register_workload
-from repro.workloads.runner import _build_encode_plan
+from repro.workloads import WorkloadSpec, run_register_workload, uniform_wave
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -62,27 +60,13 @@ QUICK_SPEC = WorkloadSpec(writers=4, writes_per_writer=1, readers=4,
 def _manual_run(spec: WorkloadSpec, meter_cls=None):
     """Run the acceptance workload with an explicit meter choice.
 
-    Mirrors :func:`run_register_workload` (same priming, same fair
-    scheduler, hence the byte-identical action sequence) but lets the
-    benchmark attach the *reference* meter — or none at all — where the
-    runner always uses the ledger-backed one.
+    Builds the same :func:`uniform_wave` :func:`run_register_workload`
+    runs (same priming, same decode cache, same fair scheduler, hence the
+    byte-identical action sequence) but lets the benchmark attach the
+    *reference* meter — or none at all — where the runner always uses the
+    ledger-backed one.
     """
-    sim = Simulation(AdaptiveRegister(SETUP), keep_events=False)
-    values = spec.write_values(SETUP)
-    sim.encode_plan = _build_encode_plan(sim, values)
-    # Match the runner's defaults exactly: all modes share the encode plan
-    # AND the decode cache, so they differ only in metering.
-    sim.decode_cache = DecodeShareCache(sim.scheme)
-    from repro.workloads.generators import reader_name, writer_name
-
-    for index in range(spec.writers):
-        client = sim.add_client(writer_name(index))
-        for value in values[writer_name(index)]:
-            client.enqueue_write(value)
-    for index in range(spec.readers):
-        client = sim.add_client(reader_name(index))
-        for _ in range(spec.reads_per_reader):
-            client.enqueue_read()
+    sim = uniform_wave(AdaptiveRegister, SETUP, spec, keep_events=False).sim
     tracker = None
     if meter_cls is not None:
         tracker = PeakTracker(meter_cls(sim))

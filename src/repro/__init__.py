@@ -88,6 +88,7 @@ from repro.workloads import (
     make_value,
     read_heavy,
     run_register_workload,
+    run_workload,
     staggered_writers,
 )
 
@@ -137,6 +138,7 @@ __all__ = [
     "run_lower_bound_experiment",
     "run_register_workload",
     "run_replacement_experiment",
+    "run_workload",
     "staggered_writers",
     "verify_claim1",
 ]

@@ -17,10 +17,11 @@ uniform writer waves. This module is the engine for that:
   seed-derived deterministic crash plan
   (:func:`~repro.sim.failures.seeded_crash_schedule`);
 * :func:`execute_cell` — run one ``scenario x point`` cell
-  deterministically, batching its write wave through the runner's
-  :class:`~repro.coding.oracles.BatchEncodePlan` stacked encode pass
-  (:func:`repro.analysis.executor.run_sweep` is the one engine that runs
-  the whole cell list — in-process at ``workers=1``, pooled above);
+  deterministically: one workload builder call, then
+  :func:`~repro.workloads.runner.run_workload`, which meters it like
+  every other simulation (:func:`repro.analysis.executor.run_sweep` is
+  the one engine that runs the whole cell list — in-process at
+  ``workers=1``, pooled above);
 * :class:`SweepResult` — the measured table: renderable via
   :func:`~repro.analysis.tables.format_table`, serialisable to JSON
   (``benchmarks/results/``), sliceable into per-curve series.
@@ -62,7 +63,7 @@ from repro.analysis.tables import (
 from repro.coding import backends as coding_backends
 from repro.coding.padding import PaddedScheme
 from repro.coding.reed_solomon import ReedSolomonCode
-from repro.errors import ParameterError, SchedulerExhausted
+from repro.errors import ParameterError
 from repro.keyspace import KeyspaceSpec, run_keyspace
 from repro.registers import (
     ABDRegister,
@@ -75,12 +76,13 @@ from repro.registers import (
 )
 from repro.sim.failures import CrashSchedule, seeded_crash_schedule
 from repro.workloads import (
+    WorkloadResult,
     WorkloadSpec,
     churn,
     read_heavy,
-    run_register_workload,
+    run_workload,
     staggered_writers,
-    writer_name,
+    uniform_wave,
 )
 
 # --------------------------------------------------------------- registry
@@ -149,10 +151,16 @@ def register_uses_k(name: str) -> bool:
 # -------------------------------------------------------------- scenarios
 
 
-#: Workload shapes a :class:`Scenario` can bind. ``uniform`` is the paper's
-#: c-burst via :func:`~repro.workloads.runner.run_register_workload`; the
-#: rest are the :mod:`~repro.workloads.patterns` generators.
-SCENARIO_PATTERNS = ("uniform", "staggered", "read-heavy", "churn")
+#: Workload shapes a :class:`Scenario` can bind, each with the workload
+#: fields it reads. ``uniform`` is the paper's c-burst via
+#: :func:`~repro.workloads.runner.uniform_wave`; the rest are the
+#: :mod:`~repro.workloads.patterns` builders.
+SCENARIO_PATTERNS = {
+    "uniform": ("ops_per_client", "readers", "reads_per_reader"),
+    "staggered": ("ops_per_client",),
+    "read-heavy": ("readers", "reads_per_reader"),
+    "churn": ("ops_per_client",),
+}
 
 
 @dataclass(frozen=True)
@@ -174,12 +182,15 @@ class Scenario:
     * ``churn`` — ``ops_per_client`` waves of ``c`` write-then-read
       clients (client-turnover shape).
 
+    Setting a field the pattern does not read raises
+    :class:`~repro.errors.ParameterError`.
+
     ``bo_crashes``/``client_crashes`` attach a seed-derived deterministic
     :class:`~repro.sim.failures.CrashSchedule`: base-object kills are
-    clamped to the point's ``f`` budget, client kills to the first-created
-    client cohort, and both fire at seed-jittered times starting at
-    ``crash_start``. Same seed, same crash victims, same firing order —
-    byte-identical sweep JSON extends to crash runs.
+    clamped to the point's ``f`` budget, client kills to the first ``c``
+    clients the builder created, and both fire at seed-jittered times
+    starting at ``crash_start``. Same seed, same crash victims, same
+    firing order — byte-identical sweep JSON extends to crash runs.
     """
 
     name: str
@@ -196,8 +207,17 @@ class Scenario:
         if self.pattern not in SCENARIO_PATTERNS:
             raise ParameterError(
                 f"unknown scenario pattern {self.pattern!r}; known: "
-                f"{SCENARIO_PATTERNS}"
+                f"{tuple(SCENARIO_PATTERNS)}"
             )
+        used = SCENARIO_PATTERNS[self.pattern]
+        for field in fields(self):
+            # uniform reads every workload field, so it names them all
+            if (field.name in SCENARIO_PATTERNS["uniform"]
+                    and field.name not in used
+                    and getattr(self, field.name) != field.default):
+                raise ParameterError(
+                    f"pattern {self.pattern!r} does not use {field.name}"
+                )
         if self.ops_per_client < 1:
             raise ParameterError("ops_per_client must be >= 1")
         if min(self.readers, self.reads_per_reader, self.bo_crashes,
@@ -214,28 +234,21 @@ class Scenario:
     def has_crashes(self) -> bool:
         return bool(self.bo_crashes or self.client_crashes)
 
-    def client_cohort(self, c: int) -> tuple[str, ...]:
-        """The first-created client names of a run at concurrency ``c`` —
-        the pool client crashes are drawn from (these clients exist from
-        the first scheduled action, so every derived kill can fire)."""
-        if self.pattern == "uniform":
-            return tuple(writer_name(i) for i in range(c))
-        if self.pattern == "staggered":
-            return tuple(f"sw{i}" for i in range(c))
-        if self.pattern == "read-heavy":
-            return tuple(f"rw{i}" for i in range(c))
-        return tuple(f"c0-{i}" for i in range(c))  # churn wave 0
-
-    def crash_schedule(self, point: "SweepPoint", n: int) -> CrashSchedule:
+    def crash_schedule(
+        self, point: "SweepPoint", n: int, clients: Iterable[str]
+    ) -> CrashSchedule:
         """The point's deterministic crash plan (empty when crash-free).
 
-        Base-object kills are clamped to ``f`` (the model's budget) and
-        client kills to the cohort size, so a scenario written for large
-        grids degrades gracefully on small regimes instead of raising.
+        Client kills are drawn from the first ``c`` of ``clients`` (the
+        built simulation's, in creation order: they exist from the first
+        action, so every kill can fire). Base-object kills are clamped to
+        ``f`` (the model's budget) and client kills to that cohort, so a
+        scenario written for large grids degrades gracefully on small
+        regimes instead of raising.
         """
         if not self.has_crashes:
             return CrashSchedule()
-        cohort = self.client_cohort(point.c)
+        cohort = tuple(itertools.islice(clients, point.c))
         return seeded_crash_schedule(
             point.seed,
             bo_count=n,
@@ -650,73 +663,52 @@ def _run_cell(
     *,
     max_steps: int,
     audit_storage_every: int,
-) -> tuple[object, RegisterSetup, int, int, int]:
-    """Execute one ``scenario x point`` cell.
+) -> tuple[WorkloadResult, RegisterSetup, int, int]:
+    """Execute one ``scenario x point`` cell: one builder call, then one
+    :func:`~repro.workloads.runner.run_workload` (which raises
+    :class:`~repro.errors.SchedulerExhausted` on a truncated run).
 
-    Returns ``(outcome, setup, steps, fired_bo, fired_client)`` where
-    ``outcome`` exposes the WorkloadResult measurement surface (peaks,
-    completed counts) — :class:`~repro.workloads.patterns.PatternRun`
-    provides the same fields, so no ``isinstance`` branching here.
+    Returns ``(outcome, setup, fired_bo, fired_client)``.
     """
     protocol_cls = REGISTER_REGISTRY[point.register].cls
     setup = point.setup()
-    schedule = scenario.crash_schedule(point, setup.n)
+    if scenario.pattern == "staggered":
+        workload = staggered_writers(
+            protocol_cls, setup, writers=point.c,
+            writes_each=scenario.ops_per_client, seed=point.seed,
+        )
+    elif scenario.pattern == "read-heavy":
+        workload = read_heavy(
+            protocol_cls, setup, readers=scenario.readers,
+            reads_each=scenario.reads_per_reader, writers=point.c,
+            seed=point.seed,
+        )
+    elif scenario.pattern == "churn":
+        workload = churn(
+            protocol_cls, setup, waves=scenario.ops_per_client,
+            clients_per_wave=point.c, seed=point.seed,
+        )
+    else:
+        workload = uniform_wave(protocol_cls, setup, WorkloadSpec(
+            writers=point.c, writes_per_writer=scenario.ops_per_client,
+            readers=scenario.readers,
+            reads_per_reader=scenario.reads_per_reader, seed=point.seed,
+        ))
+    schedule = scenario.crash_schedule(point, setup.n, workload.sim.clients)
     plans = []
 
     def configure(sim, scheduler):
-        plan = schedule.install(scheduler)
-        plans.append(plan)
-        return plan
+        plans.append(schedule.install(scheduler))
+        return plans[-1]
 
-    configure_hook = configure if len(schedule) else None
-    if scenario.pattern == "uniform":
-        spec = WorkloadSpec(
-            writers=point.c,
-            writes_per_writer=scenario.ops_per_client,
-            readers=scenario.readers,
-            reads_per_reader=scenario.reads_per_reader,
-            seed=point.seed,
-        )
-        outcome = run_register_workload(
-            protocol_cls, setup, spec, max_steps=max_steps,
-            configure=configure_hook,
-            audit_storage_every=audit_storage_every,
-        )
-        steps = outcome.run.steps
-    else:
-        if scenario.pattern == "staggered":
-            pattern_run = staggered_writers(
-                protocol_cls, setup, writers=point.c,
-                writes_each=scenario.ops_per_client, seed=point.seed,
-            )
-        elif scenario.pattern == "read-heavy":
-            pattern_run = read_heavy(
-                protocol_cls, setup, readers=scenario.readers,
-                reads_each=scenario.reads_per_reader, writers=point.c,
-                seed=point.seed,
-            )
-        else:  # churn
-            pattern_run = churn(
-                protocol_cls, setup, waves=scenario.ops_per_client,
-                clients_per_wave=point.c, seed=point.seed,
-            )
-        run = pattern_run.drain(
-            max_steps=max_steps, configure=configure_hook,
-            audit_storage_every=audit_storage_every,
-        )
-        if not run.quiescent:
-            # Match the uniform path's require_quiescence: a truncated cell
-            # must never masquerade as a measured one in the result table.
-            raise SchedulerExhausted(
-                f"{scenario.name}/{point.register}: {max_steps} steps "
-                f"without quiescence (f={point.f}, k={point.k}, "
-                f"c={point.c})"
-            )
-        outcome = pattern_run
-        steps = run.steps
+    outcome = run_workload(
+        workload, max_steps=max_steps,
+        configure=configure if len(schedule) else None,
+        audit_storage_every=audit_storage_every,
+    )
     fired_bo = plans[0].fired_bo_crashes if plans else 0
     fired_client = plans[0].fired_client_crashes if plans else 0
-    return outcome, setup, steps, fired_bo, fired_client
+    return outcome, setup, fired_bo, fired_client
 
 
 def normalize_scenarios(
@@ -776,7 +768,7 @@ def execute_cell(
     if coding_backend:
         coding_backends.use_backend(coding_backend)
     started = time.perf_counter()
-    outcome, setup, steps, fired_bo, fired_client = _run_cell(
+    outcome, setup, fired_bo, fired_client = _run_cell(
         scenario, point, max_steps=max_steps,
         audit_storage_every=audit_storage_every,
     )
@@ -794,7 +786,7 @@ def execute_cell(
         peak_storage_bits=outcome.peak_storage_bits,
         final_bo_state_bits=outcome.final_bo_state_bits,
         completed_writes=outcome.completed_writes,
-        steps=steps,
+        steps=outcome.run.steps,
         thm1_bits=theorem1_bound_bits(point.f, point.c, data_bits),
         adaptive_bound_bits=adaptive_upper_bound_bits(
             point.f, point.k, point.c, data_bits

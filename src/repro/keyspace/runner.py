@@ -21,9 +21,9 @@ therefore the experiment's x-axis in disguise:
   register stays at ``(min(f, c) + 1) * (n/k) * D``.
 
 Each ``(wave, shard)`` cell runs a fresh simulation to quiescence under
-the fair scheduler, metered by the O(1) incremental
-:class:`~repro.storage.cost.StorageLedger` (via
-:class:`~repro.storage.cost.PeakTracker`), so aggregate Definition 2
+the fair scheduler through :func:`~repro.workloads.runner.run_workload`,
+metered by the O(1) incremental
+:class:`~repro.storage.cost.StorageLedger`, so aggregate Definition 2
 bits across hundreds of shard runs stay cheap to track. Co-located
 coded shards share one scheme object, one per-wave
 :class:`~repro.coding.oracles.BatchEncodePlan` stacked over the *union*
@@ -58,15 +58,15 @@ from repro.registers import (
     replication_setup,
 )
 from repro.sim.kernel import Simulation
-from repro.sim.schedulers import FairScheduler
-from repro.storage.cost import PeakTracker, StorageMeter
 from repro.workloads.generators import (
     KEY_SKEWS,
+    WorkloadSpec,
     cumulative_weights,
     make_value,
     sample_keys,
     skew_weights,
 )
+from repro.workloads.runner import Workload, run_workload
 
 #: Registers the keyspace can shard over (ABD is the replication point).
 KEYSPACE_REGISTERS = {
@@ -297,30 +297,30 @@ def _run_shard_wave(
     for reader in range(reads):
         client = sim.add_client(f"r{wave}.{reader}")
         client.enqueue_read()
-    meter = StorageMeter(sim)
-    tracker = PeakTracker(meter, audit_every=audit_storage_every)
-    run = sim.run(FairScheduler(), max_steps=max_steps, on_action=tracker)
-    if run.exhausted:
-        raise SchedulerExhausted(
-            f"keyspace shard {stats.shard} wave {wave}: {max_steps} steps "
-            f"without quiescence ({len(writes)} writers, {reads} readers)"
+    shape = WorkloadSpec(writers=len(writes), readers=reads)
+    try:
+        result = run_workload(
+            Workload(sim, shape), max_steps=max_steps,
+            audit_storage_every=audit_storage_every,
         )
+    except SchedulerExhausted as exhausted:
+        raise SchedulerExhausted(
+            f"keyspace shard {stats.shard} wave {wave}: {exhausted}"
+        ) from exhausted
     stats.waves_active += 1
     stats.max_c = max(stats.max_c, len(writes))
     stats.write_ops += len(writes)
     stats.read_ops += reads
-    stats.completed_writes += sum(
-        1 for op in sim.trace.writes() if op.complete
+    stats.completed_writes += result.completed_writes
+    stats.completed_reads += result.completed_reads
+    stats.steps += result.run.steps
+    stats.peak_storage_bits = max(
+        stats.peak_storage_bits, result.peak_storage_bits
     )
-    stats.completed_reads += sum(
-        1 for op in sim.trace.reads() if op.complete
-    )
-    stats.steps += run.steps
-    stats.peak_storage_bits = max(stats.peak_storage_bits, tracker.peak_bits)
     stats.peak_bo_state_bits = max(
-        stats.peak_bo_state_bits, tracker.peak_bo_only_bits
+        stats.peak_bo_state_bits, result.peak_bo_state_bits
     )
-    stats.final_bo_state_bits = meter.bo_only_cost_bits()
+    stats.final_bo_state_bits = result.final_bo_state_bits
 
 
 def run_keyspace(

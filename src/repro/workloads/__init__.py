@@ -15,26 +15,22 @@ from repro.workloads.generators import (
     zipf_weights,
 )
 from repro.workloads.fuzz import FuzzFailure, FuzzResult, fuzz_register
-from repro.workloads.patterns import (
-    PatternRun,
-    churn,
-    read_heavy,
-    staggered_writers,
-)
+from repro.workloads.patterns import churn, read_heavy, staggered_writers
 from repro.workloads.runner import (
+    Workload,
     WorkloadResult,
-    build_encode_plan,
     run_register_workload,
+    run_workload,
+    uniform_wave,
 )
 
 __all__ = [
     "FuzzFailure",
     "FuzzResult",
     "KEY_SKEWS",
-    "PatternRun",
+    "Workload",
     "WorkloadResult",
     "WorkloadSpec",
-    "build_encode_plan",
     "churn",
     "cumulative_weights",
     "fuzz_register",
@@ -43,10 +39,12 @@ __all__ = [
     "read_heavy",
     "reader_name",
     "run_register_workload",
+    "run_workload",
     "sample_keys",
     "skew_weights",
     "staggered_writers",
     "uniform_weights",
+    "uniform_wave",
     "unit_interval",
     "writer_name",
     "zipf_weights",

@@ -1,152 +1,36 @@
 """Higher-level workload patterns beyond the flat burst.
 
-:class:`~repro.workloads.generators.WorkloadSpec` models the paper's
-canonical setting — a burst of ``c`` concurrent writers. Real evaluations
-also need shaped load; these builders enqueue richer schedules on a
-prepared simulation:
+:func:`~repro.workloads.runner.uniform_wave` builds the paper's canonical
+setting — a burst of ``c`` concurrent writers. Real evaluations also need
+shaped load; these builders return a richer
+:class:`~repro.workloads.runner.Workload`:
 
-* :func:`staggered_writers` — writers that start one quorum-round apart,
+* :func:`staggered_writers` — writers with pipelined back-to-back writes,
   producing a sliding concurrency window rather than a c-burst;
 * :func:`read_heavy` — a small writer pool against many repeating readers
   (the FW-termination stress shape);
 * :func:`churn` — clients that arrive in waves, each wave writing then
   reading back, modelling client turnover.
 
-Each returns a :class:`PatternRun` whose :meth:`~PatternRun.drain` runs the
-schedule to quiescence *with storage metering*, giving the same measurement
-surface as :class:`~repro.workloads.runner.WorkloadResult` (``spec``,
-``peak_storage_bits``, ``peak_bo_state_bits``, ``final_bo_state_bits``,
-``series``, ``history``): analysis code — the scenario sweep engine in
-particular — consumes either without ``isinstance`` branching. Builders
-know every write value up front, so they install the same
-:class:`~repro.coding.oracles.BatchEncodePlan` (one stacked encode pass per
-run) and :class:`~repro.coding.oracles.DecodeShareCache` the uniform-wave
-runner uses; pattern sweeps pay the vectorized coding path, not one matrix
-pass per operation.
+Run one with :func:`~repro.workloads.runner.run_workload`, which meters it
+exactly as it meters the uniform wave. Builders know every write value up
+front, so :func:`~repro.workloads.runner.new_simulation` gives them the
+same one-pass :class:`~repro.coding.oracles.BatchEncodePlan` and
+:class:`~repro.coding.oracles.DecodeShareCache` the uniform wave uses;
+pattern sweeps pay the vectorized coding path, not one matrix pass per
+operation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Type
+from functools import partial
+from typing import Type
 
-from repro.coding.oracles import DecodeShareCache
+from repro.errors import ParameterError
 from repro.registers.base import RegisterProtocol, RegisterSetup
-from repro.sim.kernel import RunResult, Simulation
-from repro.sim.schedulers import FairScheduler, Scheduler
-from repro.storage.cost import PeakTracker, StorageMeter
+from repro.sim.kernel import Simulation
 from repro.workloads.generators import WorkloadSpec, make_value
-from repro.workloads.runner import build_encode_plan
-
-
-@dataclass
-class PatternRun:
-    """A prepared pattern run, measurement-compatible with WorkloadResult.
-
-    ``phases`` holds the not-yet-enqueued stages of the schedule (churn's
-    waves; single-phase patterns enqueue at build time and leave it empty).
-    :meth:`drain` runs every phase to quiescence under one
-    :class:`~repro.storage.cost.PeakTracker`, after which the
-    ``peak_*``/``final_*``/``series`` fields carry the same Definition 2 /
-    Definition 6 measurements :func:`~repro.workloads.runner.
-    run_register_workload` reports — the parity the scenario sweep engine
-    relies on. ``spec`` describes the schedule's shape in
-    :class:`~repro.workloads.generators.WorkloadSpec` terms (total writers,
-    writes per writer, readers), so sweep records serialise patterns and
-    uniform waves identically.
-    """
-
-    sim: Simulation
-    expected_writes: int
-    expected_reads: int
-    spec: WorkloadSpec | None = None
-    phases: list[Callable[[Simulation], None]] = field(default_factory=list)
-    run: RunResult | None = None
-    peak_storage_bits: int = 0
-    peak_bo_state_bits: int = 0
-    final_bo_state_bits: int = 0
-    series: list[tuple[int, int]] = field(default_factory=list)
-
-    def drain(
-        self,
-        scheduler: Scheduler | None = None,
-        max_steps: int = 400_000,
-        *,
-        keep_series: bool = False,
-        audit_storage_every: int = 0,
-        configure: Callable[[Simulation, Scheduler], Scheduler] | None = None,
-    ) -> RunResult:
-        """Run every phase to quiescence, metering storage throughout.
-
-        ``configure`` may wrap the scheduler (e.g. in a
-        :class:`~repro.sim.failures.FailurePlan`) before any phase runs —
-        the hook scenario sweeps use for seed-derived crash injection.
-        ``audit_storage_every = N`` cross-checks the incremental ledger
-        against the full-walk reference every ``N`` actions. Draining twice
-        is a no-op returning the first :class:`RunResult`.
-        """
-        if self.run is not None:
-            return self.run
-        scheduler = scheduler or FairScheduler()
-        if configure is not None:
-            scheduler = configure(self.sim, scheduler)
-        meter = StorageMeter(self.sim)
-        tracker = PeakTracker(
-            meter, keep_series=keep_series, audit_every=audit_storage_every
-        )
-        phases = self.phases or [lambda sim: None]
-        steps = 0
-        quiescent = True
-        for phase in phases:
-            phase(self.sim)
-            result = self.sim.run(
-                scheduler, max_steps=max_steps - steps, on_action=tracker
-            )
-            steps += result.steps
-            quiescent = result.quiescent
-            if not quiescent:
-                break
-        self.phases = []
-        self.run = RunResult(
-            steps, quiescent=quiescent, stopped_by_predicate=False
-        )
-        self.peak_storage_bits = tracker.peak_bits
-        self.peak_bo_state_bits = tracker.peak_bo_only_bits
-        self.final_bo_state_bits = meter.bo_only_cost_bits()
-        self.series = tracker.series
-        return self.run
-
-    # ------------------------------------------- WorkloadResult parity
-
-    @property
-    def trace(self):
-        return self.sim.trace
-
-    @property
-    def history(self):
-        """Checker-ready history of this run."""
-        from repro.spec.histories import History
-
-        return History.from_trace(self.sim.trace, self.sim.protocol.setup.v0())
-
-    @property
-    def completed_writes(self) -> int:
-        return sum(1 for op in self.sim.trace.writes() if op.complete)
-
-    @property
-    def completed_reads(self) -> int:
-        return sum(1 for op in self.sim.trace.reads() if op.complete)
-
-    @property
-    def total_rmw_applies(self) -> int:
-        return sum(bo.applied_count for bo in self.sim.base_objects)
-
-
-def _prepare(sim: Simulation, wave: list[bytes], expect_reads: bool) -> None:
-    """Install the shared coding fast paths on a freshly built pattern sim."""
-    sim.encode_plan = build_encode_plan(sim, wave)
-    if expect_reads:
-        sim.decode_cache = DecodeShareCache(sim.scheme)
+from repro.workloads.runner import Workload, new_simulation
 
 
 def staggered_writers(
@@ -155,7 +39,7 @@ def staggered_writers(
     writers: int,
     writes_each: int = 2,
     seed: int = 0,
-) -> PatternRun:
+) -> Workload:
     """Writers with pipelined back-to-back writes.
 
     Unlike the burst, each client queues several writes, so concurrency
@@ -163,24 +47,21 @@ def staggered_writers(
     advancing — the steady-state shape for GC (Lemma 8) under sustained
     load.
     """
-    sim = Simulation(protocol_cls(setup))
-    wave = []
-    for index in range(writers):
-        client = sim.add_client(f"sw{index}")
-        for round_number in range(writes_each):
-            value = make_value(setup, f"stag-{index}-{round_number}", seed)
-            client.enqueue_write(value)
-            wave.append(value)
-    _prepare(sim, wave, expect_reads=False)
-    return PatternRun(
-        sim,
-        expected_writes=writers * writes_each,
-        expected_reads=0,
-        spec=WorkloadSpec(
-            writers=writers, writes_per_writer=writes_each, readers=0,
-            seed=seed,
-        ),
+    values = [
+        [make_value(setup, f"stag-{index}-{round_number}", seed)
+         for round_number in range(writes_each)]
+        for index in range(writers)
+    ]
+    sim = new_simulation(
+        protocol_cls, setup, [v for per_writer in values for v in per_writer]
     )
+    for index, per_writer in enumerate(values):
+        client = sim.add_client(f"sw{index}")
+        for value in per_writer:
+            client.enqueue_write(value)
+    return Workload(sim, WorkloadSpec(
+        writers=writers, writes_per_writer=writes_each, readers=0, seed=seed,
+    ))
 
 
 def read_heavy(
@@ -190,29 +71,22 @@ def read_heavy(
     reads_each: int = 3,
     writers: int = 1,
     seed: int = 0,
-) -> PatternRun:
+) -> Workload:
     """Few writers, many repeat readers — FW-termination stress."""
-    sim = Simulation(protocol_cls(setup))
-    wave = []
-    for index in range(writers):
-        client = sim.add_client(f"rw{index}")
-        value = make_value(setup, f"rh-{index}", seed)
-        client.enqueue_write(value)
-        wave.append(value)
+    values = [
+        make_value(setup, f"rh-{index}", seed) for index in range(writers)
+    ]
+    sim = new_simulation(protocol_cls, setup, values)
+    for index, value in enumerate(values):
+        sim.add_client(f"rw{index}").enqueue_write(value)
     for index in range(readers):
         client = sim.add_client(f"rr{index}")
         for _ in range(reads_each):
             client.enqueue_read()
-    _prepare(sim, wave, expect_reads=True)
-    return PatternRun(
-        sim,
-        expected_writes=writers,
-        expected_reads=readers * reads_each,
-        spec=WorkloadSpec(
-            writers=writers, writes_per_writer=1, readers=readers,
-            reads_per_reader=reads_each, seed=seed,
-        ),
-    )
+    return Workload(sim, WorkloadSpec(
+        writers=writers, writes_per_writer=1, readers=readers,
+        reads_per_reader=reads_each, seed=seed,
+    ))
 
 
 def churn(
@@ -221,19 +95,21 @@ def churn(
     waves: int,
     clients_per_wave: int = 2,
     seed: int = 0,
-) -> PatternRun:
+) -> Workload:
     """Client turnover: waves of write-then-read clients.
 
-    Wave ``i`` is only enqueued after wave ``i - 1`` drains, so each wave
-    observes its predecessors' completed writes — exercising timestamp
-    propagation through ``storedTS`` across generations of clients. Waves
-    are :class:`PatternRun` *phases*: nothing runs until
-    :meth:`PatternRun.drain`, which meters storage across all waves in one
-    pass (and lets a crash plan installed at drain time span wave
-    boundaries). One :class:`~repro.coding.oracles.BatchEncodePlan` covers
-    every wave's values, so the whole run costs one stacked encode pass.
+    Wave 0 is enqueued at build time; waves 1 and up are
+    :class:`~repro.workloads.runner.Workload` *phases*, each enqueued only
+    after the wave before it drains, so each wave observes its
+    predecessors' completed writes — exercising timestamp propagation
+    through ``storedTS`` across generations of clients. One
+    :func:`~repro.workloads.runner.run_workload` meters every wave (and a
+    crash plan it installs spans wave boundaries). One
+    :class:`~repro.coding.oracles.BatchEncodePlan` covers every wave's
+    values, so the whole run costs one stacked encode pass.
     """
-    sim = Simulation(protocol_cls(setup))
+    if waves < 1:
+        raise ParameterError("churn needs waves >= 1")
     wave_values = [
         [
             make_value(setup, f"churn-{wave}-{index}", seed)
@@ -241,26 +117,23 @@ def churn(
         ]
         for wave in range(waves)
     ]
-    _prepare(sim, [v for per_wave in wave_values for v in per_wave],
-             expect_reads=True)
+    sim = new_simulation(
+        protocol_cls, setup, [v for per_wave in wave_values for v in per_wave]
+    )
 
-    def enqueue_wave(wave: int) -> Callable[[Simulation], None]:
-        def phase(sim: Simulation) -> None:
-            for index in range(clients_per_wave):
-                client = sim.add_client(f"c{wave}-{index}")
-                client.enqueue_write(wave_values[wave][index])
-                client.enqueue_read()
+    def enqueue_wave(sim: Simulation, wave: int) -> None:
+        for index, value in enumerate(wave_values[wave]):
+            client = sim.add_client(f"c{wave}-{index}")
+            client.enqueue_write(value)
+            client.enqueue_read()
 
-        return phase
-
+    enqueue_wave(sim, 0)
     total_clients = waves * clients_per_wave
-    return PatternRun(
+    return Workload(
         sim,
-        expected_writes=total_clients,
-        expected_reads=total_clients,
-        spec=WorkloadSpec(
+        WorkloadSpec(
             writers=total_clients, writes_per_writer=1, readers=total_clients,
             reads_per_reader=1, seed=seed,
         ),
-        phases=[enqueue_wave(wave) for wave in range(waves)],
+        phases=[partial(enqueue_wave, wave=wave) for wave in range(1, waves)],
     )

@@ -1,13 +1,15 @@
-"""The experiment runner: wire a register, a workload, and a scheduler.
+"""The experiment runner: build a workload, then run it metered.
 
-:func:`run_register_workload` is the one-call entry point used by the
-examples, the tests, and every benchmark: it builds the simulation, enqueues
-the workload, runs to quiescence (or budget), and returns a
-:class:`WorkloadResult` bundling the trace, the storage measurements, and
-the checker-ready history.
+A builder (:func:`uniform_wave`, the paper's c-burst, or one of the
+:mod:`~repro.workloads.patterns`) returns a :class:`Workload`;
+:func:`run_workload` runs it and returns a :class:`WorkloadResult`
+bundling the trace, the storage measurements, and the checker-ready
+history. It is the one place a simulation is metered, so sweep cells,
+pattern runs and keyspace shards take their Definition 2 peak the same
+way. :func:`run_register_workload` does both steps in one call.
 
-Because the runner knows every write value before the simulation starts, it
-pre-encodes the whole wave through one
+Because a builder knows every write value before the simulation starts,
+:func:`new_simulation` pre-encodes the whole wave through one
 :class:`~repro.coding.oracles.BatchEncodePlan` — the runner-side twin of
 :func:`~repro.coding.oracles.prime_encode_oracles` — so a sweep with
 hundreds of concurrent writers pays a single stacked
@@ -19,7 +21,7 @@ encoding (useful when benchmarking the encode path itself).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Type
 
 from repro.coding.oracles import BatchEncodePlan, DecodeShareCache
@@ -30,7 +32,22 @@ from repro.sim.kernel import RunResult, Simulation
 from repro.sim.schedulers import FairScheduler, Scheduler
 from repro.sim.trace import Trace
 from repro.storage.cost import PeakTracker, StorageMeter
-from repro.workloads.generators import WorkloadSpec, reader_name, writer_name
+from repro.workloads.generators import WorkloadSpec, reader_name
+
+
+@dataclass
+class Workload:
+    """A built register simulation that has not run yet.
+
+    ``sim`` has the clients that start at once enqueued; each of
+    ``phases`` enqueues a later stage (churn's waves 1 and up) once the
+    one before it is quiescent. ``spec`` describes the schedule's shape
+    (total writers, writes per writer, readers).
+    """
+
+    sim: Simulation
+    spec: WorkloadSpec
+    phases: list[Callable[[Simulation], None]] = field(default_factory=list)
 
 
 @dataclass
@@ -86,30 +103,124 @@ class WorkloadResult:
         return sum(bo.applied_count for bo in self.sim.base_objects)
 
 
-def build_encode_plan(
-    sim: Simulation, wave: list[bytes]
-) -> BatchEncodePlan | None:
-    """Pre-encode a write wave, when a stacked pass actually saves work.
+def new_simulation(
+    protocol_cls: Type[RegisterProtocol],
+    setup: RegisterSetup,
+    wave: list[bytes],
+    *,
+    keep_events: bool = True,
+    prime_encodes: bool = True,
+    share_decodes: bool = True,
+) -> Simulation:
+    """A fresh simulation with the coding fast paths installed for ``wave``.
 
-    Only MDS matrix codes (bounded block domain, ``encode_batch`` as one
-    stacked multiplication) benefit; replication's "encode" is a copy and
-    rateless schemes have no fixed codeword to pre-encode, so those setups
-    keep lazy per-oracle encoding (identical measurements either way).
-    Shared by this runner and the :mod:`~repro.workloads.patterns` builders,
-    which know their write values at construction time too.
+    ``prime_encodes`` pre-encodes the write wave when a stacked pass saves
+    work: only MDS matrix codes with two or more values benefit
+    (replication's "encode" is a copy; rateless schemes have no fixed
+    codeword). ``share_decodes`` lets readers assembling the same block
+    set share one decode pass through a
+    :class:`~repro.coding.oracles.DecodeShareCache`. Both are caches only
+    and never change any measurement.
     """
-    if len(wave) < 2:
-        return None  # nothing to share a pass across
-    if not isinstance(sim.scheme, MDSCodingScheme):
-        return None
-    return BatchEncodePlan(sim.scheme, wave, range(sim.scheme.n))
+    sim = Simulation(protocol_cls(setup), keep_events=keep_events)
+    if (prime_encodes and len(wave) >= 2
+            and isinstance(sim.scheme, MDSCodingScheme)):
+        sim.encode_plan = BatchEncodePlan(
+            sim.scheme, wave, range(sim.scheme.n)
+        )
+    if share_decodes:
+        sim.decode_cache = DecodeShareCache(sim.scheme)
+    return sim
 
 
-def _build_encode_plan(
-    sim: Simulation, values: dict[str, list[bytes]]
-) -> BatchEncodePlan | None:
-    wave = [value for per_writer in values.values() for value in per_writer]
-    return build_encode_plan(sim, wave)
+def uniform_wave(
+    protocol_cls: Type[RegisterProtocol],
+    setup: RegisterSetup,
+    spec: WorkloadSpec | None = None,
+    *,
+    keep_events: bool = True,
+    prime_encodes: bool = True,
+    share_decodes: bool = True,
+) -> Workload:
+    """The paper's c-burst: every writer and reader of ``spec`` enqueued
+    at once (the concurrency ``c`` equals ``spec.writers`` — each client
+    keeps at most one write outstanding)."""
+    spec = spec or WorkloadSpec()
+    values = spec.write_values(setup)
+    sim = new_simulation(
+        protocol_cls, setup,
+        [value for per_writer in values.values() for value in per_writer],
+        keep_events=keep_events, prime_encodes=prime_encodes,
+        share_decodes=share_decodes,
+    )
+    for name, per_writer in values.items():
+        client = sim.add_client(name)
+        for value in per_writer:
+            client.enqueue_write(value)
+    for index in range(spec.readers):
+        client = sim.add_client(reader_name(index))
+        for _ in range(spec.reads_per_reader):
+            client.enqueue_read()
+    return Workload(sim, spec)
+
+
+def run_workload(
+    workload: Workload,
+    scheduler: Scheduler | None = None,
+    max_steps: int = 400_000,
+    *,
+    keep_series: bool = False,
+    require_quiescence: bool = True,
+    configure: Callable[[Simulation, Scheduler], Scheduler] | None = None,
+    audit_storage_every: int = 0,
+) -> WorkloadResult:
+    """Run ``workload`` and every later phase, metering storage throughout.
+
+    One :class:`~repro.storage.cost.PeakTracker` samples the Definition 2
+    cost and the base-object state after every action of every phase;
+    ``max_steps`` budgets the whole run. ``configure`` may wrap the
+    scheduler (e.g. in a :class:`~repro.sim.failures.FailurePlan`) before
+    anything runs, so a crash plan spans phase boundaries.
+    ``require_quiescence`` raises :class:`SchedulerExhausted` if the budget
+    runs out first — which, for fair schedulers and FW-terminating
+    registers, indicates a liveness bug worth failing loudly on: a
+    truncated run must never masquerade as a measured one.
+    ``audit_storage_every = N`` cross-checks the incremental storage ledger
+    against the full-walk reference meter every ``N`` actions (CI smoke
+    runs use this).
+    """
+    sim = workload.sim
+    scheduler = scheduler or FairScheduler()
+    if configure is not None:
+        scheduler = configure(sim, scheduler)
+    meter = StorageMeter(sim)
+    tracker = PeakTracker(
+        meter, keep_series=keep_series, audit_every=audit_storage_every
+    )
+    steps = 0
+    for phase in (None, *workload.phases):
+        if phase is not None:
+            phase(sim)
+        run = sim.run(scheduler, max_steps=max_steps - steps, on_action=tracker)
+        steps += run.steps
+        if not run.quiescent:
+            break
+    run = replace(run, steps=steps)
+    if require_quiescence and run.exhausted:
+        spec = workload.spec
+        raise SchedulerExhausted(
+            f"{sim.protocol.name}: {max_steps} steps without quiescence "
+            f"({spec.writers} writers, {spec.readers} readers)"
+        )
+    return WorkloadResult(
+        sim=sim,
+        run=run,
+        peak_storage_bits=tracker.peak_bits,
+        peak_bo_state_bits=tracker.peak_bo_only_bits,
+        final_bo_state_bits=meter.bo_only_cost_bits(),
+        spec=workload.spec,
+        series=tracker.series,
+    )
 
 
 def run_register_workload(
@@ -126,68 +237,15 @@ def run_register_workload(
     share_decodes: bool = True,
     audit_storage_every: int = 0,
 ) -> WorkloadResult:
-    """Run ``spec`` against a fresh register and measure storage.
-
-    This is the experiment primitive behind every benchmark and sweep: it
-    instantiates ``protocol_cls`` over ``setup``'s ``n = 2f + k`` simulated
-    base objects, enqueues ``spec``'s writers and readers (the paper's
-    concurrency parameter ``c`` equals ``spec.writers`` — each client keeps
-    at most one write outstanding), drives the scheduler to quiescence, and
-    returns a :class:`WorkloadResult` with the Definition 2 / Definition 6
-    storage measurements tracked at every action.
-
-    ``configure`` may wrap the scheduler (e.g. in a
-    :class:`~repro.sim.failures.FailurePlan`) after clients are set up.
-    ``require_quiescence`` raises :class:`SchedulerExhausted` if the budget
-    runs out first — which, for fair schedulers and FW-terminating
-    registers, indicates a liveness bug worth failing loudly on.
-    ``prime_encodes`` (default on) batches the whole write wave through one
-    :class:`~repro.coding.oracles.BatchEncodePlan` stacked encode pass;
-    ``share_decodes`` (default on) lets readers assembling the same block
-    set share one stacked decode pass through a
-    :class:`~repro.coding.oracles.DecodeShareCache`. Both are optimisations
-    only and never change any measurement. ``audit_storage_every = N``
-    cross-checks the incremental storage ledger against the full-walk
-    reference meter every ``N`` actions (CI smoke runs use this).
-    """
-    spec = spec or WorkloadSpec()
-    scheduler = scheduler or FairScheduler()
-    protocol = protocol_cls(setup)
-    sim = Simulation(protocol, keep_events=keep_events)
-
-    values = spec.write_values(setup)
-    if prime_encodes:
-        sim.encode_plan = _build_encode_plan(sim, values)
-    if share_decodes:
-        sim.decode_cache = DecodeShareCache(sim.scheme)
-    for index in range(spec.writers):
-        client = sim.add_client(writer_name(index))
-        for value in values[writer_name(index)]:
-            client.enqueue_write(value)
-    for index in range(spec.readers):
-        client = sim.add_client(reader_name(index))
-        for _ in range(spec.reads_per_reader):
-            client.enqueue_read()
-
-    if configure is not None:
-        scheduler = configure(sim, scheduler)
-
-    meter = StorageMeter(sim)
-    tracker = PeakTracker(
-        meter, keep_series=keep_series, audit_every=audit_storage_every
+    """Run ``spec``'s uniform wave against a fresh register: the
+    experiment primitive behind the examples and most benchmarks.
+    :func:`uniform_wave` then :func:`run_workload`, with their keywords."""
+    workload = uniform_wave(
+        protocol_cls, setup, spec, keep_events=keep_events,
+        prime_encodes=prime_encodes, share_decodes=share_decodes,
     )
-    run = sim.run(scheduler, max_steps=max_steps, on_action=tracker)
-    if require_quiescence and run.exhausted:
-        raise SchedulerExhausted(
-            f"{protocol.name}: {max_steps} steps without quiescence "
-            f"({spec.writers} writers, {spec.readers} readers)"
-        )
-    return WorkloadResult(
-        sim=sim,
-        run=run,
-        peak_storage_bits=tracker.peak_bits,
-        peak_bo_state_bits=tracker.peak_bo_only_bits,
-        final_bo_state_bits=meter.bo_only_cost_bits(),
-        spec=spec,
-        series=tracker.series,
+    return run_workload(
+        workload, scheduler, max_steps, keep_series=keep_series,
+        require_quiescence=require_quiescence, configure=configure,
+        audit_storage_every=audit_storage_every,
     )

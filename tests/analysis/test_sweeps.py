@@ -190,32 +190,38 @@ class TestScenario:
         with pytest.raises(ParameterError, match="readers"):
             Scenario("rh", pattern="read-heavy", readers=0)
 
-    def test_client_cohort_matches_pattern_naming(self):
-        assert Scenario("u").client_cohort(2) == ("w0", "w1")
-        assert Scenario("s", pattern="staggered").client_cohort(2) == \
-            ("sw0", "sw1")
-        assert Scenario("r", pattern="read-heavy",
-                        readers=3).client_cohort(2) == ("rw0", "rw1")
-        assert Scenario("c", pattern="churn").client_cohort(2) == \
-            ("c0-0", "c0-1")
+    @pytest.mark.parametrize("pattern,unused", [
+        ("staggered", dict(readers=5, reads_per_reader=3)),
+        ("staggered", dict(reads_per_reader=3)),
+        ("read-heavy", dict(readers=2, ops_per_client=7)),
+        ("churn", dict(readers=2)),
+        ("churn", dict(reads_per_reader=2)),
+    ])
+    def test_field_the_pattern_ignores_rejected(self, pattern, unused):
+        with pytest.raises(ParameterError, match="does not use"):
+            Scenario("x", pattern=pattern, **unused)
 
     def test_crash_schedule_clamped_to_f_budget(self):
         scenario = Scenario("crashy", bo_crashes=5, client_crashes=5)
         point = SweepPoint("adaptive", f=1, k=2, c=2, data_size_bytes=48)
-        schedule = scenario.crash_schedule(point, n=point.n)
+        schedule = scenario.crash_schedule(
+            point, n=point.n, clients=("w0", "w1", "r0"),
+        )
         assert len(schedule.bo_victims) == 1  # clamped to f = 1
-        assert len(schedule.client_victims) == 2  # clamped to cohort size
+        assert len(schedule.client_victims) == 2  # clamped to the first c
+        assert {name for name, _ in schedule.client_victims} == {"w0", "w1"}
 
     def test_crash_schedule_deterministic_per_seed(self):
         scenario = Scenario("crashy", bo_crashes=1, client_crashes=1)
         point = SweepPoint("adaptive", f=2, k=2, c=3, data_size_bytes=48,
                            seed=9)
-        assert scenario.crash_schedule(point, n=6) == \
-            scenario.crash_schedule(point, n=6)
+        clients = ("w0", "w1", "w2")
+        assert scenario.crash_schedule(point, 6, clients) == \
+            scenario.crash_schedule(point, 6, clients)
         other = SweepPoint("adaptive", f=2, k=2, c=3, data_size_bytes=48,
                            seed=10)
-        assert scenario.crash_schedule(point, n=6) != \
-            scenario.crash_schedule(other, n=6)
+        assert scenario.crash_schedule(point, 6, clients) != \
+            scenario.crash_schedule(other, 6, clients)
 
 
 class TestScenarioSweep:
@@ -238,6 +244,25 @@ class TestScenarioSweep:
         assert all(r.client_crashes == 1 for r in crashed)
         clean = scenario_result.select(scenario="uniform")
         assert all(r.bo_crashes == r.client_crashes == 0 for r in clean)
+
+    @pytest.mark.parametrize("pattern,extra", [
+        ("uniform", {}),
+        ("staggered", {}),
+        ("read-heavy", dict(readers=2)),
+        ("churn", {}),
+    ])
+    def test_every_pattern_crashes_its_first_c_clients(self, pattern, extra):
+        """With client_crashes >= c, each of the first c clients the
+        builder created is killed: exactly c fired client crashes."""
+        grid = SweepGrid.cartesian(
+            registers=("adaptive",), fs=(2,), ks=(2,), cs=(1, 2, 4),
+            data_sizes=(48,), seed=3,
+        )
+        scenario = Scenario("crashy", pattern=pattern, client_crashes=4,
+                            **extra)
+        result = run_sweep(grid, scenarios=(scenario,))
+        assert [(r.c, r.client_crashes) for r in result.records] == \
+            [(1, 1), (2, 2), (4, 4)]
 
     def test_read_heavy_records_completed_reads(self, scenario_result):
         for record in scenario_result.select(scenario="read-heavy"):

@@ -31,6 +31,7 @@ from repro.workloads import (
     churn,
     make_value,
     run_register_workload,
+    run_workload,
     staggered_writers,
 )
 
@@ -116,41 +117,43 @@ class TestPatternScenarioParity:
     def test_churn_with_crashes_audits_every_action(
         self, register_cls, setup, seed
     ):
-        run = churn(register_cls, setup, waves=2, clients_per_wave=2,
-                    seed=seed)
+        workload = churn(register_cls, setup, waves=2, clients_per_wave=2,
+                         seed=seed)
         schedule = seeded_crash_schedule(
             seed, bo_count=setup.n, bo_crashes=1,
             client_names=("c0-0", "c0-1"), client_crashes=1,
         )
-        result = run.drain(
+        result = run_workload(
+            workload,
             configure=lambda sim, sch: schedule.install(sch),
             audit_storage_every=1,
         )
-        assert result.quiescent
-        assert_ledger_matches_reference(run.sim)
-        assert run.sim.crashed_base_objects() == 1
+        assert result.run.quiescent
+        assert_ledger_matches_reference(result.sim)
+        assert result.sim.crashed_base_objects() == 1
 
     @pytest.mark.parametrize("register_cls,setup", REGISTERS)
     @pytest.mark.parametrize("seed", [0, 1])
     def test_staggered_with_crashes_audits_every_action(
         self, register_cls, setup, seed
     ):
-        run = staggered_writers(register_cls, setup, writers=3,
-                                writes_each=2, seed=seed)
+        workload = staggered_writers(register_cls, setup, writers=3,
+                                     writes_each=2, seed=seed)
         schedule = seeded_crash_schedule(
             seed, bo_count=setup.n, bo_crashes=2,
             client_names=("sw0", "sw1", "sw2"), client_crashes=1,
         )
-        result = run.drain(
-            scheduler=RandomScheduler(seed=seed),
+        result = run_workload(
+            workload,
+            RandomScheduler(seed=seed),
             configure=lambda sim, sch: schedule.install(sch),
             audit_storage_every=1,
         )
-        assert result.quiescent
-        assert_ledger_matches_reference(run.sim)
+        assert result.run.quiescent
+        assert_ledger_matches_reference(result.sim)
         # Crash-free peaks would count all n objects; the audited run
         # must really have killed its scheduled victims.
-        assert run.sim.crashed_base_objects() == 2
+        assert result.sim.crashed_base_objects() == 2
 
 
 class TestCrashEdgeCases:
