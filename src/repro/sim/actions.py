@@ -54,7 +54,14 @@ class WaitResponses:
     need: int
 
     def satisfied(self) -> bool:
-        return sum(1 for handle in self.handles if handle.responded) >= self.need
+        # Asked for every blocked client on every scheduler pick.
+        left = self.need
+        for handle in self.handles:
+            if left <= 0:
+                return True
+            if handle.status is RMWStatus.DELIVERED:
+                left -= 1
+        return left <= 0
 
     def unsatisfiable(self) -> bool:
         """True when too many RMWs were dropped for ``need`` to be reached."""

@@ -558,4 +558,4 @@ class Simulation:
             if on_action is not None:
                 on_action(self, action)
             steps += 1
-        return RunResult(steps, quiescent=False, stopped_by_predicate=False)
+        return RunResult(steps, self.quiescent(), stopped_by_predicate=False)

@@ -10,6 +10,11 @@ Keeping discovery structural (rather than asking each protocol to enumerate
 its own blocks) removes a whole class of under-counting bugs: a register
 implementation cannot accidentally hide payload bits from the meter by
 stashing them in a new field.
+
+:func:`collect_blocks` is the reference walker (``ReferenceStorageMeter``,
+Definition 6); :func:`total_bits` is the fast summing walker behind
+``StorageLedger``, making the same checks once per concrete class.
+``StorageLedger.audit`` and the blockstore tests hold the two equal.
 """
 
 from __future__ import annotations
@@ -73,9 +78,57 @@ def collect_blocks(obj: Any) -> Iterator[CodeBlock]:
         # Opaque leaf (e.g. a timestamp class): contributes no blocks.
 
 
+#: Node kinds of :func:`total_bits`, one per branch of :func:`collect_blocks`.
+_BLOCK, _LEAF, _MAPPING, _ITERABLE, _DATACLASS = range(5)
+
+#: Concrete class -> node kind, decided once per class.
+_KINDS: dict[type, int] = {}
+
+
+def _kind(cls: type) -> int:
+    """Classify ``cls`` by the ordered checks :func:`collect_blocks` makes."""
+    if issubclass(cls, CodeBlock):
+        return _BLOCK
+    if cls is type(None) or issubclass(cls, _ATOMIC_LEAVES):
+        return _LEAF
+    if issubclass(cls, Mapping):
+        return _MAPPING
+    if issubclass(cls, (list, tuple, set, frozenset)):
+        return _ITERABLE
+    if dataclasses.is_dataclass(cls) and not issubclass(cls, type):
+        _field_names(cls)  # total_bits reads _FIELD_NAMES directly
+        return _DATACLASS
+    return _LEAF
+
+
 def total_bits(obj: Any) -> int:
-    """Return the summed bit size of all blocks reachable inside ``obj``."""
-    return sum(block.size_bits for block in collect_blocks(obj))
+    """Return the summed bit size of all blocks reachable inside ``obj``.
+
+    The blocks :func:`collect_blocks` yields, found by one dict lookup per
+    node on its exact type, in no particular order (a sum needs none).
+    """
+    bits = 0
+    stack = [obj]
+    pop, extend = stack.pop, stack.extend
+    kinds, fields = _KINDS, _FIELD_NAMES
+    while stack:
+        node = pop()
+        cls = type(node)
+        kind = kinds.get(cls)
+        if kind is None:
+            kind = kinds[cls] = _kind(cls)
+        if kind == _LEAF:
+            continue
+        if kind == _BLOCK:
+            bits += node.size_bits
+        elif kind == _DATACLASS:
+            for name in fields[cls]:
+                stack.append(getattr(node, name))
+        elif kind == _ITERABLE:
+            extend(node)
+        else:
+            extend(node.values())
+    return bits
 
 
 def distinct_source_bits(obj: Any, op_uid: int) -> int:

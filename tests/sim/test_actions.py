@@ -1,5 +1,7 @@
 """Unit tests for action/wait primitives."""
 
+import pytest
+
 from repro.sim.actions import (
     Action,
     ActionKind,
@@ -28,6 +30,20 @@ class TestWaitResponses:
 
     def test_zero_need_always_satisfied(self):
         assert WaitResponses([], 0).satisfied()
+
+    @pytest.mark.parametrize("need", [0, 1, 2, 3, 4])
+    def test_satisfied_exactly_at_the_need_th_delivery(self, need):
+        # Each handle passes through every other status before it is
+        # delivered; only DELIVERED counts, and need > 3 never holds.
+        handles = [handle(rmw_id=i) for i in range(3)]
+        wait = WaitResponses(handles, need)
+        for delivered, h in enumerate(handles):
+            for status in (RMWStatus.PENDING, RMWStatus.APPLIED,
+                           RMWStatus.DROPPED):
+                h.status = status
+                assert wait.satisfied() == (delivered >= need)
+            h.status = RMWStatus.DELIVERED
+            assert wait.satisfied() == (delivered + 1 >= need)
 
     def test_unsatisfiable_when_drops_exceed_slack(self):
         handles = [

@@ -1,6 +1,12 @@
 """Block-discovery tests: structural traversal and Definition 6 dedup."""
 
+import random
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import NamedTuple
+
+import pytest
 
 from repro.coding.oracles import BlockSource, CodeBlock
 from repro.storage import (
@@ -127,3 +133,91 @@ class TestIterativeWalk:
     def test_dataclass_field_cache_survives_many_instances(self):
         holders = [Holder(str(i), block(i, 0)) for i in range(50)]
         assert len(list(collect_blocks(holders))) == 50
+
+
+@dataclass(frozen=True)
+class Derived(Holder):
+    extra: object = None
+
+
+@dataclass(frozen=True)
+class TaggedBlock(CodeBlock):
+    tag: str = "t"
+
+
+class Pair(NamedTuple):
+    left: object
+    right: object
+
+
+class BlockList(list):
+    pass
+
+
+class SizedButOpaque:
+    """Has ``size_bits`` but is no ``CodeBlock``: contributes nothing."""
+
+    size_bits = 999
+
+
+def reference_bits(obj) -> int:
+    return sum(b.size_bits for b in collect_blocks(obj))
+
+
+def random_structure(rng: random.Random, depth: int):
+    """A random nesting of every container kind the meter must see into."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice([
+            lambda: block(rng.randrange(9), rng.randrange(4),
+                          8 * rng.randint(1, 9)),
+            lambda: TaggedBlock(b"", 0, BlockSource(0, 0), rng.randint(1, 99)),
+            lambda: rng.randrange(100),
+            lambda: "text",
+            lambda: None,
+            SizedButOpaque,
+            lambda: Holder,  # a dataclass *class*, not an instance
+        ])()
+    kids = [random_structure(rng, depth - 1) for _ in range(rng.randint(0, 3))]
+    keyed = {str(i): kid for i, kid in enumerate(kids)}
+    blocks = [block(rng.randrange(9), i) for i in range(rng.randint(0, 3))]
+    return rng.choice([
+        lambda: kids,
+        lambda: tuple(kids),
+        lambda: BlockList(kids),
+        lambda: Pair(kids, blocks),
+        lambda: keyed,
+        lambda: OrderedDict(keyed),
+        lambda: defaultdict(list, keyed),
+        lambda: MappingProxyType(keyed),
+        lambda: frozenset(blocks),
+        lambda: set(blocks),
+        lambda: Holder("h", kids),
+        lambda: Derived("d", kids, blocks),
+    ])()
+
+
+class TestFastWalkerMatchesReference:
+    """``total_bits`` is the ledger's fast walk; ``collect_blocks`` its
+    reference. They must agree on every structure."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_nested_structures(self, seed):
+        structure = random_structure(random.Random(seed), depth=6)
+        assert total_bits(structure) == reference_bits(structure)
+
+    @pytest.mark.parametrize("case, bits", [
+        (OrderedDict(a=block(1, 0), b=[block(1, 1)]), 128),
+        (defaultdict(list, a=[block(1, 0)]), 64),
+        (MappingProxyType({"a": block(1, 0)}), 64),
+        (Pair(block(1, 0), (block(1, 1),)), 128),
+        (BlockList([block(1, 0), BlockList([block(1, 1)])]), 128),
+        (frozenset({block(1, 0), block(1, 1)}), 128),
+        (Derived("d", block(1, 0), [block(1, 1)]), 128),
+        (TaggedBlock(b"", 0, BlockSource(0, 0), 40), 40),
+        (SizedButOpaque(), 0),
+        (Holder, 0),
+        ([SizedButOpaque, Derived, TaggedBlock], 0),
+    ])
+    def test_each_container_kind(self, case, bits):
+        assert reference_bits(case) == bits
+        assert total_bits(case) == bits

@@ -85,6 +85,22 @@ class TestRunner:
                 AdaptiveRegister, SETUP, spec, max_steps=10,
             )
 
+    def test_quiescence_on_the_last_allowed_step_is_not_exhaustion(self):
+        setup = RegisterSetup(f=1, k=2, data_size_bytes=8)
+        spec = WorkloadSpec(writers=2, writes_per_writer=1, readers=1,
+                            reads_per_reader=1, seed=3)
+        needed = run_register_workload(AdaptiveRegister, setup, spec).run.steps
+        assert needed == 66
+        result = run_register_workload(
+            AdaptiveRegister, setup, spec, max_steps=needed,
+        )
+        assert result.run.quiescent
+        assert result.sim.quiescent()
+        with pytest.raises(SchedulerExhausted):
+            run_register_workload(
+                AdaptiveRegister, setup, spec, max_steps=needed - 1,
+            )
+
     def test_budget_exhaustion_tolerated_when_not_required(self):
         spec = WorkloadSpec(writers=2, writes_per_writer=2, readers=1,
                             reads_per_reader=1)
