@@ -26,7 +26,8 @@ Two entry points:
 * ``python benchmarks/bench_sim_throughput.py [--quick]`` — the script;
   ``--quick`` trims the workload for CI smoke runs and runs the ledger
   with ``audit_storage_every=1`` (ledger == full walk asserted at every
-  action);
+  action), on the fair schedule and on one random schedule with an object
+  and a client crash;
 * ``pytest benchmarks/bench_sim_throughput.py`` — a fast parity smoke.
 """
 
@@ -40,7 +41,7 @@ import time
 from repro.analysis import SweepGrid, SweepPoint, run_sweep
 from repro.analysis.benchgate import metric, write_bench_summary
 from repro.registers import AdaptiveRegister, RegisterSetup
-from repro.sim import FairScheduler
+from repro.sim import FailurePlan, FairScheduler, RandomScheduler, at_time
 from repro.storage import PeakTracker, ReferenceStorageMeter, StorageMeter
 from repro.workloads import WorkloadSpec, run_register_workload, uniform_wave
 
@@ -109,6 +110,30 @@ def _run_ledger(spec: WorkloadSpec, audit_every: int = 0):
     return result.run, _TrackerView
 
 
+def _run_random_with_crashes(spec: WorkloadSpec, audit_every: int) -> int:
+    """A seeded random schedule that crashes one base object and one
+    writer mid-run, the ledger audited every ``audit_every`` actions.
+    Random draws read the kernel's sampling arrays, which a fair run never
+    builds, so this is the pass that audits them. Returns the step count."""
+    plans = []
+
+    def configure(sim, scheduler):
+        plans.append(FailurePlan(scheduler))
+        plans[0].crash_base_object(0, at_time(40))
+        plans[0].crash_client("w0", at_time(60))
+        return plans[0]
+
+    result = run_register_workload(
+        AdaptiveRegister, SETUP, spec, scheduler=RandomScheduler(seed=0),
+        configure=configure, require_quiescence=False,
+        audit_storage_every=audit_every,
+    )
+    assert plans[0].fired_bo_crashes == plans[0].fired_client_crashes == 1, (
+        "the random pass must crash an object and a client"
+    )
+    return result.run.steps
+
+
 def sweep_point_seconds(quick: bool) -> float:
     """Mean wall-clock per sweep point (the new per-record timing field)."""
     cs = (2,) if quick else (4, 8)
@@ -142,6 +167,7 @@ def main() -> int:
     # action asserts ledger == full walk (MeasurementError on divergence).
     audited_every = 1 if args.quick else 64
     _run_ledger(spec, audit_every=audited_every)
+    random_steps = _run_random_with_crashes(spec, audited_every)
     audit_note = f"ledger audited vs full walk every {audited_every} action(s)"
 
     # One repeat suffices for the full walk: it runs for minutes, so timing
@@ -190,6 +216,8 @@ def main() -> int:
         f"(required >= {min_speedup:.2f}x)",
         f"peaks bit-identical across meters: {parity}",
         f"{audit_note}: ok",
+        f"random schedule with an object and a client crash "
+        f"({random_steps} steps), same audit: ok",
         f"mean wall-clock per sweep point: {point_seconds:.4f} s "
         "(recorded per-record as SweepRecord.wall_clock_s)",
     ]

@@ -288,7 +288,7 @@ def _run_shard_wave(
 ) -> None:
     """Run one shard's slice of one wave and fold it into ``stats``."""
     protocol = KEYSPACE_REGISTERS[spec.register](setup)
-    sim = Simulation(protocol, keep_events=False)
+    sim = Simulation(protocol)
     sim.encode_plan = encode_plan
     sim.decode_cache = decode_cache
     for slot, value in writes:

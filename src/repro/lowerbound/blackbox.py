@@ -59,7 +59,7 @@ def record_run(
     max_steps: int = 200_000,
 ) -> RecordedRun:
     """Run ``len(values)`` concurrent writers, recording the action script."""
-    sim = Simulation(protocol_cls(setup), keep_events=False)
+    sim = Simulation(protocol_cls(setup))
     for index, value in enumerate(values):
         sim.add_client(writer_name(index)).enqueue_write(value)
     recorded = RecordedRun(sim)
@@ -79,7 +79,7 @@ def replay_run(
     actions: list[Action],
 ) -> Simulation:
     """Re-execute a recorded action script on fresh state."""
-    sim = Simulation(protocol_cls(setup), keep_events=False)
+    sim = Simulation(protocol_cls(setup))
     for index, value in enumerate(values):
         sim.add_client(writer_name(index)).enqueue_write(value)
     script = ScriptedScheduler(actions)

@@ -86,7 +86,7 @@ def run_lower_bound_experiment(
     """
     ell = ell_bits if ell_bits is not None else setup.data_size_bits // 2
     protocol = protocol_cls(setup)
-    sim = Simulation(protocol, keep_events=False)
+    sim = Simulation(protocol)
     for index in range(concurrency):
         client = sim.add_client(writer_name(index))
         client.enqueue_write(make_value(setup, f"lb{index}", seed))

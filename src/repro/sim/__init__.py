@@ -6,7 +6,8 @@
   :class:`~repro.sim.schedulers.RandomScheduler` /
   :class:`~repro.sim.schedulers.SequentialScheduler` — environments.
 * :class:`~repro.sim.failures.FailurePlan` — crash injection.
-* :class:`~repro.sim.trace.Trace` — run recording for the checkers.
+* :class:`~repro.sim.trace.Trace` — run recording for the checkers;
+  :class:`~repro.sim.trace.EventLog` — the opt-in event stream.
 """
 
 from repro.sim.actions import (
@@ -33,7 +34,7 @@ from repro.sim.schedulers import (
     Scheduler,
     SequentialScheduler,
 )
-from repro.sim.trace import EventKind, OpKind, OpRecord, Trace
+from repro.sim.trace import EventKind, EventLog, OpKind, OpRecord, Trace
 
 __all__ = [
     "Action",
@@ -42,6 +43,7 @@ __all__ = [
     "Client",
     "CrashSchedule",
     "EventKind",
+    "EventLog",
     "FailurePlan",
     "FairScheduler",
     "OpKind",

@@ -1,10 +1,10 @@
-"""Schedulable actions and protocol yield-points.
+"""The RMW record, schedulable actions and protocol yield-points.
 
 A protocol coroutine interacts with the kernel in exactly two ways:
 
 * it calls :meth:`OperationContext.trigger` to register a pending RMW on a
   base object (non-blocking — the RMW takes effect only when a scheduler
-  applies it);
+  applies it) and gets back that RMW's :class:`RMW` record;
 * it ``yield``s a :class:`WaitResponses` to suspend until enough of its
   RMWs have responded (or a bare :class:`Pause` to let time pass).
 
@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from repro.sim.trace import OpRecord
 
 
 class RMWStatus(enum.Enum):
@@ -30,38 +33,75 @@ class RMWStatus(enum.Enum):
     DROPPED = "dropped"        # base object crashed before taking effect
 
 
-@dataclass
-class RMWHandle:
-    """Client-side view of one triggered RMW."""
+_DELIVERED = RMWStatus.DELIVERED
+
+
+@dataclass(slots=True, eq=False)
+class RMW:
+    """One triggered RMW: the protocol's handle and the kernel's queue
+    entry from trigger to delivery (Section 2).
+
+    While pending, ``args`` (the *visible* parameters) count as the
+    triggering client's state; once applied, ``response`` counts as the
+    base object's until delivered (Definition 2). ``fn(state, args) ->
+    (new_state, response)`` must be pure. Setting ``status`` updates the
+    delivered count of every :class:`WaitResponses` over this record.
+    """
 
     rmw_id: int
     bo_id: int
     op_uid: int
     label: str
-    status: RMWStatus = RMWStatus.PENDING
+    client_name: str = ""
+    fn: Any = None
+    args: Any = None
     response: Any = None
+    _status: RMWStatus = field(default=RMWStatus.PENDING, init=False)
+    _waits: tuple = field(default=(), init=False, repr=False)
+
+    @property
+    def status(self) -> RMWStatus:
+        return self._status
+
+    @status.setter
+    def status(self, status: RMWStatus) -> None:
+        delivered = status is _DELIVERED
+        if (self._status is _DELIVERED) is not delivered:
+            for wait in self._waits:
+                wait.delivered += 1 if delivered else -1
+        self._status = status
 
     @property
     def responded(self) -> bool:
-        return self.status is RMWStatus.DELIVERED
+        return self._status is _DELIVERED
 
 
-@dataclass
+#: The protocol-facing name of the record :meth:`OperationContext.trigger`
+#: returns.
+RMWHandle = RMW
+
+
 class WaitResponses:
-    """Yielded by a protocol: resume once ``need`` handles have responded."""
+    """Yielded by a protocol: resume once ``need`` handles have responded.
 
-    handles: list[RMWHandle]
-    need: int
+    The wait registers with each handle, and each handle keeps
+    ``delivered`` current as its status changes, so :meth:`satisfied` —
+    asked for every blocked client on every scheduler pick — is O(1).
+    """
+
+    __slots__ = ("handles", "need", "delivered")
+
+    def __init__(self, handles: list[RMW], need: int) -> None:
+        self.handles = handles
+        self.need = need
+        self.delivered = 0
+        for handle in handles:
+            handle._waits += (self,)
+            if handle._status is _DELIVERED:
+                self.delivered += 1
 
     def satisfied(self) -> bool:
-        # Asked for every blocked client on every scheduler pick.
-        left = self.need
-        for handle in self.handles:
-            if left <= 0:
-                return True
-            if handle.status is RMWStatus.DELIVERED:
-                left -= 1
-        return left <= 0
+        return self.delivered >= self.need
 
     def unsatisfiable(self) -> bool:
         """True when too many RMWs were dropped for ``need`` to be reached."""
@@ -106,41 +146,42 @@ class Action:
         return f"Action({self.kind.value}, {self.target})"
 
 
-@dataclass
-class PendingRMW:
-    """Kernel record of a triggered-but-not-applied RMW.
+class KernelListener:
+    """Observer of the kernel's transitions.
 
-    ``args`` is the *visible* parameter structure of the RMW (the paper
-    counts blocks riding in pending RMW parameters as client state, so the
-    cost meter walks ``args``). ``fn(state, args) -> (new_state, response)``
-    must be a pure function.
+    Subclass and override the hooks you need; every hook is a no-op by
+    default. Listeners are notified *after* the kernel's own bookkeeping,
+    so the simulation state they observe is the post-transition state.
+    Attach one with :meth:`Simulation.attach`. The Definition 2 storage
+    ledger, the event log, and the random and per-client queue indices
+    are all listeners, each attached only when something reads it.
     """
 
-    rmw_id: int
-    bo_id: int
-    client_name: str
-    op_uid: int
-    fn: Any
-    args: Any
-    label: str
-    handle: RMWHandle
-    trigger_time: int = 0
+    def on_invoke(self, op: "OpRecord") -> None:
+        """Operation ``op`` was invoked."""
 
+    def on_return(self, op: "OpRecord") -> None:
+        """Operation ``op`` returned."""
 
-@dataclass
-class AppliedRMW:
-    """Kernel record of an applied RMW whose response is undelivered.
+    def on_trigger(self, rmw: RMW) -> None:
+        """``rmw`` was registered as pending (its object is live)."""
 
-    Until delivery the response is part of the *base object's* state
-    ("all the responses of pending RMWs that took effect on it"), so the
-    cost meter walks ``response``.
-    """
+    def on_trigger_dropped(self, rmw: RMW) -> None:
+        """``rmw`` was triggered on a crashed object and dropped at once
+        (it never entered storage)."""
 
-    rmw_id: int
-    bo_id: int
-    client_name: str
-    op_uid: int
-    response: Any
-    handle: RMWHandle
-    apply_time: int = 0
-    extra: dict = field(default_factory=dict)
+    def on_apply(self, rmw: RMW) -> None:
+        """``rmw`` took effect; its object's state is already updated."""
+
+    def on_deliver(self, rmw: RMW) -> None:
+        """``rmw`` left the applied set — delivered, or dropped because its
+        client crashed (see ``rmw.status``); either way its response left
+        storage."""
+
+    def on_bo_crash(
+        self, bo_id: int, dropped_pending: list[RMW], dropped_applied: list[RMW]
+    ) -> None:
+        """Base object ``bo_id`` crashed, dropping the listed RMWs."""
+
+    def on_client_crash(self, name: str) -> None:
+        """Client ``name`` crashed (no storage effect under Definition 2)."""

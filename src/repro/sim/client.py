@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Any, Generator
 
 from repro.coding.oracles import DecodeOracle, EncodeOracle
 from repro.errors import ProtocolError
-from repro.sim.actions import Pause, RMWHandle, WaitResponses
+from repro.sim.actions import RMW, Pause, WaitResponses
 from repro.sim.trace import OpKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -52,14 +52,14 @@ class OperationContext:
         self.value = value
         self.generator: Generator | None = None
         self.waiting: WaitResponses | Pause | None = None
-        self.handles: list[RMWHandle] = []
+        self.handles: list[RMW] = []
         self._encode_oracles: list[EncodeOracle] = []
         self._decode_oracles: list[DecodeOracle] = []
         self.rounds = 0  # incremented by protocols for metrics
 
     # --------------------------------------------------------------- kernel
 
-    def trigger(self, bo_id: int, fn: Any, args: Any, label: str = "") -> RMWHandle:
+    def trigger(self, bo_id: int, fn: Any, args: Any, label: str = "") -> RMW:
         """Register a pending RMW on base object ``bo_id``."""
         handle = self.kernel.register_rmw(self, bo_id, fn, args, label)
         self.handles.append(handle)

@@ -24,83 +24,56 @@ pseudo-code's ``|| for`` burst). Splitting the burst further would not change
 any bound: triggers have no shared-memory effect until applied, and the
 scheduler fully controls applies.
 
-Performance note: the kernel maintains *indexed queues* so the schedulers'
-hot paths are O(1) (amortised) per action instead of rebuilding sorted
-action lists each step. Two invariants make this cheap:
+Performance note: one :class:`~repro.sim.actions.RMW` record is the
+protocol's handle and the kernel's queue entry for its whole life, and the
+kernel keeps just two queues and one heap:
 
-* ``pending`` only ever holds RMWs on **live** objects (a base-object crash
-  drops its pending RMWs, and triggers on crashed objects are dropped at
-  registration), and rmw ids are assigned monotonically — so the
-  insertion-ordered dict *is* the oldest-first appliable queue;
-* ``applied`` is keyed per base object and per client, with a lazy min-heap
-  over rmw ids for the globally oldest deliverable response and a
-  swap-remove array for O(1) uniform sampling.
+* ``pending`` only ever holds RMWs on **live** objects (crashes drop
+  theirs, triggers on crashed objects are dropped at registration) and rmw
+  ids are monotone, so the insertion-ordered dict *is* the oldest-first
+  appliable queue;
+* ``applied`` holds undelivered responses, with a lazy min-heap over rmw
+  ids for the oldest deliverable one.
 
-Mutation is funnelled through exactly four transitions — ``register_rmw``,
-``apply_rmw``, ``deliver_response``, and the ``crash_*`` pair — each of
-which notifies the attached :class:`KernelListener` hooks. The incremental
-storage ledger (:class:`~repro.storage.cost.StorageLedger`) rides these
-hooks to keep Definition 2 bits as a delta ledger rather than re-walking
-the whole system state per action.
+Every transition (trigger, apply, deliver, the ``crash_*`` pair, each
+invocation and return) notifies the attached
+:class:`~repro.sim.actions.KernelListener` hooks, and everything else
+rides them: the Definition 2 storage ledger, the opt-in
+:class:`~repro.sim.trace.EventLog`, and the sampling arrays and per-client
+queues that only random, solo and sequential schedules read. Each is built
+from the queues when first read, so a fair run builds neither index and
+records no events. Crashes (at most ``f`` plus one per client) scan the
+queues.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.errors import ParameterError, ProtocolError
 from repro.sim.actions import (
+    RMW,
     Action,
     ActionKind,
-    AppliedRMW,
+    KernelListener,
     Pause,
-    PendingRMW,
-    RMWHandle,
     RMWStatus,
     WaitResponses,
 )
 from repro.sim.base_object import BaseObject
 from repro.sim.client import Client, OperationContext
-from repro.sim.trace import EventKind, OpKind, Trace
+from repro.sim.trace import OpKind, Trace
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.registers.base import RegisterProtocol
     from repro.sim.schedulers import Scheduler
     from repro.storage.cost import StorageLedger
 
-
-class KernelListener:
-    """Observer of the kernel's state-mutating transitions.
-
-    Subclass and override the hooks you need; every hook is a no-op by
-    default. Listeners are notified *after* the kernel's own bookkeeping,
-    so the simulation state they observe is the post-transition state.
-    The incremental storage ledger is the only listener: the kernel
-    attaches it when :attr:`Simulation.storage_ledger` is first read.
-    """
-
-    def on_trigger(self, rmw: PendingRMW) -> None:
-        """``rmw`` was registered as pending (its object is live)."""
-
-    def on_apply(self, rmw: AppliedRMW) -> None:
-        """``rmw`` took effect; its object's state is already updated."""
-
-    def on_deliver(self, rmw: AppliedRMW) -> None:
-        """``rmw`` left the applied set (delivered, or dropped because its
-        client crashed) — either way its response left storage."""
-
-    def on_bo_crash(
-        self,
-        bo_id: int,
-        dropped_pending: list[PendingRMW],
-        dropped_applied: list[AppliedRMW],
-    ) -> None:
-        """Base object ``bo_id`` crashed, dropping the listed RMWs."""
-
-    def on_client_crash(self, name: str) -> None:
-        """Client ``name`` crashed (no storage effect under Definition 2)."""
+_APPLIED = RMWStatus.APPLIED
+_DELIVERED = RMWStatus.DELIVERED
+_DROPPED = RMWStatus.DROPPED
 
 
 @dataclass
@@ -116,41 +89,115 @@ class RunResult:
         return not self.quiescent and not self.stopped_by_predicate
 
 
+class _SwapSet:
+    """Rmw ids in a swap-remove array: O(1) add, discard and indexing."""
+
+    def __init__(self, rmw_ids: Iterable[int] = ()) -> None:
+        self.ids: list[int] = list(rmw_ids)
+        self.pos = {rmw_id: index for index, rmw_id in enumerate(self.ids)}
+
+    def add(self, rmw_id: int) -> None:
+        self.pos[rmw_id] = len(self.ids)
+        self.ids.append(rmw_id)
+
+    def discard(self, rmw_id: int) -> None:
+        index = self.pos.pop(rmw_id, None)
+        if index is not None:
+            last = self.ids.pop()
+            if last != rmw_id:
+                self.ids[index] = last
+                self.pos[last] = index
+
+
+class _SamplingIndex(KernelListener):
+    """The appliable and deliverable sets as swap-remove arrays, for
+    :class:`~repro.sim.schedulers.RandomScheduler`'s uniform draws."""
+
+    def __init__(self, sim: "Simulation") -> None:
+        self.clients = sim.clients
+        self.applied = sim.applied
+        self.appliable = _SwapSet(sim.pending)
+        self.deliverable = _SwapSet(
+            rmw.rmw_id for rmw in sim.applied.values()
+            if not sim.clients[rmw.client_name].crashed
+        )
+
+    def on_trigger(self, rmw: RMW) -> None:
+        self.appliable.add(rmw.rmw_id)
+
+    def on_apply(self, rmw: RMW) -> None:
+        self.appliable.discard(rmw.rmw_id)
+        if not self.clients[rmw.client_name].crashed:
+            self.deliverable.add(rmw.rmw_id)
+
+    def on_deliver(self, rmw: RMW) -> None:
+        self.deliverable.discard(rmw.rmw_id)
+
+    def on_bo_crash(self, bo_id: int, dropped_pending: list[RMW],
+                    dropped_applied: list[RMW]) -> None:
+        for rmw in dropped_pending:
+            self.appliable.discard(rmw.rmw_id)
+        for rmw in dropped_applied:
+            self.deliverable.discard(rmw.rmw_id)
+
+    def on_client_crash(self, name: str) -> None:
+        # Its responses stay in storage but can never be delivered.
+        for rmw in self.applied.values():
+            if rmw.client_name == name:
+                self.deliverable.discard(rmw.rmw_id)
+
+
+class _ClientQueues(KernelListener):
+    """Each client's undelivered RMWs in id order, for the schedulers that
+    serve one client at a time (solo reads, sequential runs)."""
+
+    def __init__(self, sim: "Simulation") -> None:
+        self.own: dict[str, dict[int, RMW]] = {}
+        for rmw in sorted([*sim.pending.values(), *sim.applied.values()],
+                          key=lambda rmw: rmw.rmw_id):
+            self.on_trigger(rmw)
+
+    def first(self, client_name: str, status: RMWStatus) -> RMW | None:
+        own = self.own.get(client_name, {}).values()
+        return next((rmw for rmw in own if rmw.status is status), None)
+
+    def on_trigger(self, rmw: RMW) -> None:
+        self.own.setdefault(rmw.client_name, {})[rmw.rmw_id] = rmw
+
+    def on_deliver(self, rmw: RMW) -> None:
+        del self.own[rmw.client_name][rmw.rmw_id]
+
+    def on_bo_crash(self, bo_id: int, dropped_pending: list[RMW],
+                    dropped_applied: list[RMW]) -> None:
+        for rmw in (*dropped_pending, *dropped_applied):
+            del self.own[rmw.client_name][rmw.rmw_id]
+
+
 class Simulation:
     """One run of a register protocol over fault-prone shared memory."""
 
-    def __init__(self, protocol: "RegisterProtocol", strict_waits: bool = True,
-                 keep_events: bool = True) -> None:
+    def __init__(self, protocol: "RegisterProtocol",
+                 strict_waits: bool = True) -> None:
         self.protocol = protocol
         self.scheme = protocol.scheme
         self.strict_waits = strict_waits
         self.time = 0
-        self.trace = Trace(keep_events=keep_events)
         self.base_objects = [
             BaseObject(bo_id, protocol.initial_bo_state(bo_id))
             for bo_id in range(protocol.n)
         ]
+        self.trace = Trace(self.base_objects)
         self.clients: dict[str, Client] = {}
-        self.pending: dict[int, PendingRMW] = {}
-        self.applied: dict[int, AppliedRMW] = {}
+        self.pending: dict[int, RMW] = {}
+        self.applied: dict[int, RMW] = {}
         self._next_rmw_id = 0
         self._next_op_uid = 0
-        # Indexed queues (see the module docstring's performance note).
-        self._pending_by_bo: dict[int, dict[int, PendingRMW]] = {}
-        self._pending_by_client: dict[str, dict[int, PendingRMW]] = {}
-        self._applied_by_bo: dict[int, dict[int, AppliedRMW]] = {}
-        self._applied_by_client: dict[str, dict[int, AppliedRMW]] = {}
         #: Lazy min-heap of applied rmw ids (settled/undeliverable entries
         #: are discarded when they surface at the top).
         self._applied_heap: list[int] = []
-        # Swap-remove arrays + position maps: O(1) add/discard/uniform-sample
-        # over the appliable and deliverable sets (RandomScheduler's path).
-        self._pending_arr: list[int] = []
-        self._pending_pos: dict[int, int] = {}
-        self._deliverable_arr: list[int] = []
-        self._deliverable_pos: dict[int, int] = {}
         self._listeners: list[KernelListener] = []
-        self._storage_ledger: "StorageLedger | None" = None
+        #: Listeners built on first use, by class (see :meth:`_lazy`).
+        self._built: dict[type, KernelListener] = {}
         #: Optional :class:`~repro.coding.oracles.BatchEncodePlan`: when set
         #: (by a workload runner that knows the write wave up front), every
         #: freshly created encode oracle is warmed from its one stacked
@@ -163,7 +210,20 @@ class Simulation:
         #: Also a pure cache — decoded values are identical either way.
         self.decode_cache = None
 
-    # ------------------------------------------------------------- ledger
+    # ----------------------------------------------------------- listeners
+
+    def attach(self, listener: KernelListener) -> KernelListener:
+        """Notify ``listener`` of every transition from now on."""
+        self._listeners.append(listener)
+        return listener
+
+    def _lazy(self, cls: type) -> Any:
+        """The attached ``cls(self)`` listener, built from the current state
+        on first use and kept current by the hooks from then on."""
+        listener = self._built.get(cls)
+        if listener is None:
+            listener = self._built[cls] = self.attach(cls(self))
+        return listener
 
     @property
     def storage_ledger(self) -> "StorageLedger":
@@ -174,29 +234,9 @@ class Simulation:
         so every :class:`~repro.storage.cost.StorageMeter` read is O(1)
         regardless of how much protocol state has accreted.
         """
-        if self._storage_ledger is None:
-            from repro.storage.cost import StorageLedger
+        from repro.storage.cost import StorageLedger
 
-            self._storage_ledger = StorageLedger(self)
-            self._listeners.append(self._storage_ledger)
-        return self._storage_ledger
-
-    # -------------------------------------------------- swap-remove arrays
-
-    @staticmethod
-    def _arr_add(arr: list[int], pos: dict[int, int], rmw_id: int) -> None:
-        pos[rmw_id] = len(arr)
-        arr.append(rmw_id)
-
-    @staticmethod
-    def _arr_discard(arr: list[int], pos: dict[int, int], rmw_id: int) -> None:
-        index = pos.pop(rmw_id, None)
-        if index is None:
-            return
-        last = arr.pop()
-        if last != rmw_id:
-            arr[index] = last
-            pos[last] = index
+        return self._lazy(StorageLedger)
 
     # ------------------------------------------------------------- clients
 
@@ -216,66 +256,30 @@ class Simulation:
         fn: Any,
         args: Any,
         label: str,
-    ) -> RMWHandle:
+    ) -> RMW:
         """Record a pending RMW (called via ``OperationContext.trigger``)."""
         if not 0 <= bo_id < len(self.base_objects):
             raise ProtocolError(f"trigger on unknown base object {bo_id}")
         rmw_id = self._next_rmw_id
         self._next_rmw_id += 1
-        handle = RMWHandle(
-            rmw_id=rmw_id,
-            bo_id=bo_id,
-            op_uid=ctx.op_uid,
-            label=label,
-        )
+        rmw = RMW(rmw_id, bo_id, ctx.op_uid, label, ctx.client.name, fn, args)
         if self.base_objects[bo_id].crashed:
             # Triggering on a crashed object is allowed; it just never responds.
-            handle.status = RMWStatus.DROPPED
-            self.trace.event(
-                self.time, EventKind.DROP, rmw=rmw_id, bo=bo_id, reason="crashed"
-            )
-            return handle
-        rmw = PendingRMW(
-            rmw_id=rmw_id,
-            bo_id=bo_id,
-            client_name=ctx.client.name,
-            op_uid=ctx.op_uid,
-            fn=fn,
-            args=args,
-            label=label,
-            handle=handle,
-            trigger_time=self.time,
-        )
+            rmw.status = _DROPPED
+            for listener in self._listeners:
+                listener.on_trigger_dropped(rmw)
+            return rmw
         self.pending[rmw_id] = rmw
-        self._pending_by_bo.setdefault(bo_id, {})[rmw_id] = rmw
-        self._pending_by_client.setdefault(rmw.client_name, {})[rmw_id] = rmw
-        self._arr_add(self._pending_arr, self._pending_pos, rmw_id)
-        self.trace.event(
-            self.time, EventKind.TRIGGER, rmw=rmw_id, bo=bo_id,
-            client=ctx.client.name, label=label,
-        )
         for listener in self._listeners:
             listener.on_trigger(rmw)
-        return handle
-
-    def _unindex_pending(self, rmw: PendingRMW) -> None:
-        self._pending_by_bo[rmw.bo_id].pop(rmw.rmw_id, None)
-        self._pending_by_client[rmw.client_name].pop(rmw.rmw_id, None)
-        self._arr_discard(self._pending_arr, self._pending_pos, rmw.rmw_id)
-
-    def _unindex_applied(self, rmw: AppliedRMW) -> None:
-        self._applied_by_bo[rmw.bo_id].pop(rmw.rmw_id, None)
-        self._applied_by_client[rmw.client_name].pop(rmw.rmw_id, None)
-        self._arr_discard(
-            self._deliverable_arr, self._deliverable_pos, rmw.rmw_id
-        )
+        return rmw
 
     # ----------------------------------------------------- enabled actions
 
     def runnable_clients(self) -> list[Client]:
         return [client for client in self.clients.values() if client.runnable()]
 
-    def appliable_rmws(self) -> list[PendingRMW]:
+    def appliable_rmws(self) -> list[RMW]:
         """Pending RMWs whose base object is live, oldest first.
 
         ``pending`` only ever holds RMWs on live objects (crashes drop
@@ -285,24 +289,25 @@ class Simulation:
         """
         return list(self.pending.values())
 
-    def deliverable_responses(self) -> list[AppliedRMW]:
+    def deliverable_responses(self) -> list[RMW]:
         """Applied RMWs whose client is live, oldest first."""
-        return [self.applied[rmw_id] for rmw_id in sorted(self._deliverable_arr)]
+        return sorted(
+            (rmw for rmw in self.applied.values()
+             if not self.clients[rmw.client_name].crashed),
+            key=lambda rmw: rmw.rmw_id,
+        )
 
     # O(1)-ish accessors used by the schedulers' hot paths.
 
-    def first_appliable(self) -> PendingRMW | None:
+    def first_appliable(self) -> RMW | None:
         """Oldest pending RMW (its object is live by invariant), if any."""
         return next(iter(self.pending.values()), None)
 
-    def first_appliable_for(self, client_name: str) -> PendingRMW | None:
+    def first_appliable_for(self, client_name: str) -> RMW | None:
         """Oldest pending RMW triggered by ``client_name``, if any."""
-        per_client = self._pending_by_client.get(client_name)
-        if not per_client:
-            return None
-        return next(iter(per_client.values()))
+        return self._lazy(_ClientQueues).first(client_name, RMWStatus.PENDING)
 
-    def first_deliverable(self) -> AppliedRMW | None:
+    def first_deliverable(self) -> RMW | None:
         """Oldest applied RMW whose client is live, if any.
 
         Amortised O(log) via the lazy heap: settled entries and entries of
@@ -318,31 +323,27 @@ class Simulation:
             return rmw
         return None
 
-    def first_deliverable_for(self, client_name: str) -> AppliedRMW | None:
+    def first_deliverable_for(self, client_name: str) -> RMW | None:
         """Oldest applied RMW awaiting delivery to live ``client_name``."""
         client = self.clients.get(client_name)
         if client is None or client.crashed:
             return None
-        per_client = self._applied_by_client.get(client_name)
-        if not per_client:
-            return None
-        # Apply order need not be rmw-id order; min over own work only.
-        return per_client[min(per_client)]
+        return self._lazy(_ClientQueues).first(client_name, _APPLIED)
 
     def appliable_count(self) -> int:
         return len(self.pending)
 
     def deliverable_count(self) -> int:
-        return len(self._deliverable_arr)
+        return len(self._lazy(_SamplingIndex).deliverable.ids)
 
-    def appliable_nth(self, index: int) -> PendingRMW:
+    def appliable_nth(self, index: int) -> RMW:
         """The ``index``-th appliable RMW in arbitrary (stable) order —
         uniform-sampling support; ordering is *not* oldest-first."""
-        return self.pending[self._pending_arr[index]]
+        return self.pending[self._lazy(_SamplingIndex).appliable.ids[index]]
 
-    def deliverable_nth(self, index: int) -> AppliedRMW:
+    def deliverable_nth(self, index: int) -> RMW:
         """The ``index``-th deliverable response in arbitrary order."""
-        return self.applied[self._deliverable_arr[index]]
+        return self.applied[self._lazy(_SamplingIndex).deliverable.ids[index]]
 
     def enabled_actions(self) -> list[Action]:
         actions = [
@@ -359,7 +360,7 @@ class Simulation:
         return actions
 
     def quiescent(self) -> bool:
-        if self.pending or self._deliverable_arr:
+        if self.pending or self.first_deliverable() is not None:
             return False
         return not any(client.runnable() for client in self.clients.values())
 
@@ -367,13 +368,14 @@ class Simulation:
 
     def execute(self, action: Action) -> None:
         """Perform one schedulable action and advance time."""
-        if action.kind is ActionKind.STEP_CLIENT:
-            self.step_client(self.clients[action.target])
-        elif action.kind is ActionKind.APPLY:
+        kind = action.kind
+        if kind is ActionKind.APPLY:
             self.apply_rmw(action.target)
-        elif action.kind is ActionKind.DELIVER:
+        elif kind is ActionKind.DELIVER:
             self.deliver_response(action.target)
-        elif action.kind is ActionKind.APPLY_DELIVER:
+        elif kind is ActionKind.STEP_CLIENT:
+            self.step_client(self.clients[action.target])
+        elif kind is ActionKind.APPLY_DELIVER:
             self.apply_rmw(action.target)
             self.deliver_response(action.target)
         else:  # pragma: no cover - exhaustive enum
@@ -397,16 +399,18 @@ class Simulation:
             )
             self._next_op_uid += 1
             client.current = ctx
-            self.trace.record_invoke(
+            record = self.trace.record_invoke(
                 self.time, ctx.op_uid, client.name, queued.kind, queued.value
             )
+            for listener in self._listeners:
+                listener.on_invoke(record)
             if queued.kind is OpKind.WRITE:
                 ctx.generator = self.protocol.write_gen(ctx, queued.value)
             else:
                 ctx.generator = self.protocol.read_gen(ctx)
         ctx = client.current
         waiting = ctx.waiting
-        if isinstance(waiting, WaitResponses) and not waiting.satisfied():
+        if waiting is not None and not waiting.satisfied():
             if self.strict_waits and waiting.unsatisfiable():
                 raise ProtocolError(
                     f"client {client.name} waits for {waiting.need} responses "
@@ -429,9 +433,11 @@ class Simulation:
 
     def _complete_op(self, client: Client, ctx: OperationContext, result: Any) -> None:
         ctx.expire_oracles()
-        self.trace.record_return(self.time, ctx.op_uid, result)
+        record = self.trace.record_return(self.time, ctx.op_uid, result)
         client.current = None
         client.completed_ops += 1
+        for listener in self._listeners:
+            listener.on_return(record)
 
     def apply_rmw(self, rmw_id: int) -> None:
         """Let a pending RMW take effect on its base object."""
@@ -439,31 +445,12 @@ class Simulation:
         rmw = self.pending.pop(rmw_id, None)
         if rmw is None:
             raise ProtocolError(f"apply of unknown/settled RMW {rmw_id}")
-        self._unindex_pending(rmw)
-        base_object = self.base_objects[rmw.bo_id]
-        response = base_object.apply(rmw.fn, rmw.args)
-        rmw.handle.status = RMWStatus.APPLIED
-        applied = AppliedRMW(
-            rmw_id=rmw_id,
-            bo_id=rmw.bo_id,
-            client_name=rmw.client_name,
-            op_uid=rmw.op_uid,
-            response=response,
-            handle=rmw.handle,
-            apply_time=self.time,
-        )
-        self.applied[rmw_id] = applied
-        self._applied_by_bo.setdefault(rmw.bo_id, {})[rmw_id] = applied
-        self._applied_by_client.setdefault(rmw.client_name, {})[rmw_id] = applied
+        rmw.response = self.base_objects[rmw.bo_id].apply(rmw.fn, rmw.args)
+        rmw._status = _APPLIED  # no wait counts APPLIED: skip the setter
+        self.applied[rmw_id] = rmw
         heapq.heappush(self._applied_heap, rmw_id)
-        if not self.clients[rmw.client_name].crashed:
-            self._arr_add(self._deliverable_arr, self._deliverable_pos, rmw_id)
-        self.trace.event(
-            self.time, EventKind.APPLY, rmw=rmw_id, bo=rmw.bo_id,
-            client=rmw.client_name, label=rmw.label,
-        )
         for listener in self._listeners:
-            listener.on_apply(applied)
+            listener.on_apply(rmw)
 
     def deliver_response(self, rmw_id: int) -> None:
         """Deliver an applied RMW's response to its client."""
@@ -471,19 +458,10 @@ class Simulation:
         rmw = self.applied.pop(rmw_id, None)
         if rmw is None:
             raise ProtocolError(f"delivery of unknown/settled RMW {rmw_id}")
-        self._unindex_applied(rmw)
-        client = self.clients[rmw.client_name]
-        if client.crashed:
-            rmw.handle.status = RMWStatus.DROPPED
-            self.trace.event(
-                self.time, EventKind.DROP, rmw=rmw_id, reason="client-crashed"
-            )
+        if self.clients[rmw.client_name].crashed:
+            rmw.status = _DROPPED
         else:
-            rmw.handle.response = rmw.response
-            rmw.handle.status = RMWStatus.DELIVERED
-            self.trace.event(
-                self.time, EventKind.DELIVER, rmw=rmw_id, client=rmw.client_name
-            )
+            rmw.status = _DELIVERED
         # Delivered or dropped, the response left storage either way.
         for listener in self._listeners:
             listener.on_deliver(rmw)
@@ -491,42 +469,24 @@ class Simulation:
     # -------------------------------------------------------------- crashes
 
     def crash_base_object(self, bo_id: int) -> None:
-        """Crash a base object; its pending work is dropped.
-
-        O(own work): the per-object indices hand over exactly the RMWs that
-        involve ``bo_id`` — no scan of the global queues.
-        """
+        """Crash a base object; its pending and undelivered RMWs drop."""
         self.time += 1
-        base_object = self.base_objects[bo_id]
-        base_object.crash()
-        dropped_pending = list(self._pending_by_bo.pop(bo_id, {}).values())
-        for rmw in dropped_pending:
-            del self.pending[rmw.rmw_id]
-            self._pending_by_client[rmw.client_name].pop(rmw.rmw_id, None)
-            self._arr_discard(self._pending_arr, self._pending_pos, rmw.rmw_id)
-            rmw.handle.status = RMWStatus.DROPPED
-        dropped_applied = list(self._applied_by_bo.pop(bo_id, {}).values())
-        for rmw in dropped_applied:
-            del self.applied[rmw.rmw_id]
-            self._applied_by_client[rmw.client_name].pop(rmw.rmw_id, None)
-            self._arr_discard(
-                self._deliverable_arr, self._deliverable_pos, rmw.rmw_id
-            )
-            rmw.handle.status = RMWStatus.DROPPED
-        self.trace.event(self.time, EventKind.CRASH_BO, bo=bo_id)
+        self.base_objects[bo_id].crash()
+        dropped = []
+        for queue in (self.pending, self.applied):
+            own = [rmw for rmw in queue.values() if rmw.bo_id == bo_id]
+            for rmw in own:
+                del queue[rmw.rmw_id]
+                rmw.status = _DROPPED
+            dropped.append(own)
         for listener in self._listeners:
-            listener.on_bo_crash(bo_id, dropped_pending, dropped_applied)
+            listener.on_bo_crash(bo_id, *dropped)
 
     def crash_client(self, name: str) -> None:
-        """Crash a client. Its already-triggered RMWs may still take effect."""
+        """Crash a client. Its already-triggered RMWs may still take effect,
+        and its applied responses stay in storage, undeliverable."""
         self.time += 1
         self.clients[name].crash()
-        # Its applied-but-undelivered responses stay in storage (they sit at
-        # the base objects) but can never be delivered: drop them from the
-        # deliverable sampling set, O(own work) via the per-client index.
-        for rmw_id in self._applied_by_client.get(name, {}):
-            self._arr_discard(self._deliverable_arr, self._deliverable_pos, rmw_id)
-        self.trace.event(self.time, EventKind.CRASH_CLIENT, client=name)
         for listener in self._listeners:
             listener.on_client_crash(name)
 
@@ -548,13 +508,14 @@ class Simulation:
         ``until`` predicate fires, or ``max_steps`` actions have executed.
         """
         steps = 0
+        next_action, execute = scheduler.next_action, self.execute
         while steps < max_steps:
             if until is not None and until(self):
                 return RunResult(steps, quiescent=False, stopped_by_predicate=True)
-            action = scheduler.next_action(self)
+            action = next_action(self)
             if action is None:
                 return RunResult(steps, quiescent=True, stopped_by_predicate=False)
-            self.execute(action)
+            execute(action)
             if on_action is not None:
                 on_action(self, action)
             steps += 1

@@ -50,14 +50,10 @@ class FairScheduler(Scheduler):
 
     def __init__(self) -> None:
         self._rotation = 0
-        # Rotation deques replace the old per-step sort over all runnable
-        # clients: never-stepped clients first (in arrival order), then
-        # stepped clients least-recently-stepped first. Picking scans past
-        # blocked clients without reordering them — identical schedules to
-        # the sort, O(skipped + 1) per pick instead of O(clients log
-        # clients). The deques are per-simulation state, reset when the
-        # scheduler is pointed at a different simulation (a weak sentinel,
-        # so a reusable scheduler does not pin finished runs in memory).
+        # Never-stepped clients first (in arrival order), then stepped
+        # clients least-recently-stepped first; a pick scans past blocked
+        # clients without reordering them. Per-simulation state, reset for
+        # a new simulation (a weak sentinel: reuse must not pin old runs).
         self._sim_ref: "weakref.ref[Simulation] | None" = None
         self._fresh: deque[str] = deque()
         self._stepped: deque[str] = deque()
@@ -122,15 +118,10 @@ class FairScheduler(Scheduler):
 class RandomScheduler(Scheduler):
     """Uniformly random enabled action from a seeded RNG.
 
-    Samples over category *counts* — runnable clients, appliable RMWs
-    (``len(pending)``), deliverable responses — and indexes into the
-    kernel's swap-remove arrays, so a draw costs O(clients) instead of
-    materialising (and then discarding) the full enabled-action list with
-    its two sorts. The distribution is unchanged: every enabled action is
-    equally likely. The draw *sequence* for a given seed differs from the
-    pre-indexed implementation (one ``randrange`` over the total instead of
-    a ``choice`` over a sorted list), so runs are reproducible per seed but
-    not against traces recorded before the indexed queues existed.
+    One ``randrange`` over the category counts — runnable clients,
+    appliable RMWs, deliverable responses — indexes into the kernel's
+    sampling arrays (built on the first draw), so a draw costs O(clients):
+    every enabled action is equally likely, reproducibly per seed.
     """
 
     def __init__(self, seed: int = 0) -> None:
@@ -193,18 +184,7 @@ class SoloClientScheduler(Scheduler):
         self.client_name = client_name
 
     def next_action(self, sim: "Simulation") -> Action | None:
-        # Per-client kernel indices: O(own work), independent of how many
-        # other clients' RMWs the adversary left frozen in the queues.
-        rmw = sim.first_appliable_for(self.client_name)
-        if rmw is not None:
-            return Action(ActionKind.APPLY, rmw.rmw_id)
-        applied = sim.first_deliverable_for(self.client_name)
-        if applied is not None:
-            return Action(ActionKind.DELIVER, applied.rmw_id)
-        client = sim.clients.get(self.client_name)
-        if client is not None and client.runnable():
-            return Action(ActionKind.STEP_CLIENT, self.client_name)
-        return None
+        return _serve(sim, self.client_name)
 
 
 class SequentialScheduler(Scheduler):
@@ -244,14 +224,20 @@ class SequentialScheduler(Scheduler):
                 if sim.clients[name].runnable():
                     return Action(ActionKind.STEP_CLIENT, name)
             return None
-        # Serve the active client's memory actions first, FIFO — per-client
-        # kernel indices make each probe O(own work).
-        rmw = sim.first_appliable_for(active.name)
-        if rmw is not None:
-            return Action(ActionKind.APPLY, rmw.rmw_id)
-        applied = sim.first_deliverable_for(active.name)
-        if applied is not None:
-            return Action(ActionKind.DELIVER, applied.rmw_id)
-        if active.runnable():
-            return Action(ActionKind.STEP_CLIENT, active.name)
-        return None  # active client blocked with nothing in flight: deadlock
+        return _serve(sim, active.name)
+
+
+def _serve(sim: "Simulation", name: str) -> Action | None:
+    """Client ``name``'s next action, memory first: its oldest pending RMW,
+    then its oldest undelivered response, then a local step. O(own work),
+    however many RMWs of other clients are frozen in the queues."""
+    rmw = sim.first_appliable_for(name)
+    if rmw is not None:
+        return Action(ActionKind.APPLY, rmw.rmw_id)
+    rmw = sim.first_deliverable_for(name)
+    if rmw is not None:
+        return Action(ActionKind.DELIVER, rmw.rmw_id)
+    client = sim.clients.get(name)
+    if client is not None and client.runnable():
+        return Action(ActionKind.STEP_CLIENT, name)
+    return None  # blocked with nothing in flight (a deadlock if sequential)

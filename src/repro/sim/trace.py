@@ -1,17 +1,27 @@
-"""Run traces and operation records.
+"""Run traces, operation records and the opt-in event log.
 
-The kernel appends a :class:`TraceEvent` for every invocation, return,
-trigger, apply, delivery, and crash. The per-operation view
-(:class:`OpRecord`) is what the consistency checkers consume: it captures
-the paper's ``trace(r)`` — the subsequence of invocations and returns —
-plus written/returned values.
+The kernel records every invocation and return in :class:`Trace.ops`. The
+per-operation view (:class:`OpRecord`) is what the consistency checkers
+consume: it captures the paper's ``trace(r)`` — the subsequence of
+invocations and returns — plus written/returned values.
+
+The full event stream (invocations, returns, triggers, applies,
+deliveries, drops and crashes) is recorded only when an :class:`EventLog`
+is attached to the simulation; it appends a :class:`TraceEvent` per
+transition to ``trace.events``. Without one, no event is built.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any, Sequence
+
+from repro.sim.actions import RMW, KernelListener, RMWStatus
+
+if TYPE_CHECKING:  # pragma: no cover - type-only imports
+    from repro.sim.base_object import BaseObject
+    from repro.sim.kernel import Simulation
 
 
 class OpKind(enum.Enum):
@@ -59,18 +69,14 @@ class OpRecord:
 
 
 class Trace:
-    """Append-only record of everything that happened in a run."""
+    """Append-only record of a run: its operations, and its events when an
+    :class:`EventLog` is attached. ``base_objects`` are the run's objects,
+    whose apply counters :meth:`rmw_count` sums."""
 
-    def __init__(self, keep_events: bool = True) -> None:
-        self.keep_events = keep_events
+    def __init__(self, base_objects: Sequence["BaseObject"] = ()) -> None:
+        self.base_objects = base_objects
         self.events: list[TraceEvent] = []
         self.ops: dict[int, OpRecord] = {}
-
-    # -------------------------------------------------------------- events
-
-    def event(self, time: int, kind: EventKind, **details: Any) -> None:
-        if self.keep_events:
-            self.events.append(TraceEvent(time, kind, details))
 
     def record_invoke(
         self,
@@ -88,15 +94,13 @@ class Trace:
             invoke_time=time,
         )
         self.ops[op_uid] = record
-        self.event(time, EventKind.INVOKE, op=op_uid, client=client,
-                   op_kind=kind.value)
         return record
 
-    def record_return(self, time: int, op_uid: int, result: Any) -> None:
+    def record_return(self, time: int, op_uid: int, result: Any) -> OpRecord:
         record = self.ops[op_uid]
         record.return_time = time
         record.result = result
-        self.event(time, EventKind.RETURN, op=op_uid, client=record.client)
+        return record
 
     # ------------------------------------------------------------- queries
 
@@ -114,4 +118,50 @@ class Trace:
 
     def rmw_count(self) -> int:
         """Number of RMWs that took effect during the run."""
-        return len(self.events_of_kind(EventKind.APPLY))
+        return sum(bo.applied_count for bo in self.base_objects)
+
+
+class EventLog(KernelListener):
+    """The listener that records ``sim``'s events into ``sim.trace.events``,
+    stamped with the kernel clock. Attach it before the run:
+    ``sim.attach(EventLog(sim))``."""
+
+    def __init__(self, sim: "Simulation") -> None:
+        self.sim = sim
+        self.events = sim.trace.events
+
+    def event(self, kind: EventKind, **details: Any) -> None:
+        self.events.append(TraceEvent(self.sim.time, kind, details))
+
+    def on_invoke(self, op: OpRecord) -> None:
+        self.event(EventKind.INVOKE, op=op.op_uid, client=op.client,
+                   op_kind=op.kind.value)
+
+    def on_return(self, op: OpRecord) -> None:
+        self.event(EventKind.RETURN, op=op.op_uid, client=op.client)
+
+    def on_trigger(self, rmw: RMW) -> None:
+        self.event(EventKind.TRIGGER, rmw=rmw.rmw_id, bo=rmw.bo_id,
+                   client=rmw.client_name, label=rmw.label)
+
+    def on_trigger_dropped(self, rmw: RMW) -> None:
+        self.event(EventKind.DROP, rmw=rmw.rmw_id, bo=rmw.bo_id,
+                   reason="crashed")
+
+    def on_apply(self, rmw: RMW) -> None:
+        self.event(EventKind.APPLY, rmw=rmw.rmw_id, bo=rmw.bo_id,
+                   client=rmw.client_name, label=rmw.label)
+
+    def on_deliver(self, rmw: RMW) -> None:
+        if rmw.status is RMWStatus.DROPPED:
+            self.event(EventKind.DROP, rmw=rmw.rmw_id, reason="client-crashed")
+        else:
+            self.event(EventKind.DELIVER, rmw=rmw.rmw_id,
+                       client=rmw.client_name)
+
+    def on_bo_crash(self, bo_id: int, dropped_pending: list[RMW],
+                    dropped_applied: list[RMW]) -> None:
+        self.event(EventKind.CRASH_BO, bo=bo_id)
+
+    def on_client_crash(self, name: str) -> None:
+        self.event(EventKind.CRASH_CLIENT, client=name)

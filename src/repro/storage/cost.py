@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import MeasurementError, ParameterError
-from repro.sim.actions import Action, AppliedRMW, PendingRMW
+from repro.sim.actions import RMW, Action
 from repro.sim.kernel import KernelListener
 from repro.storage.blockstore import collect_blocks, total_bits
 
@@ -266,12 +266,12 @@ class StorageLedger(KernelListener):
 
     # ------------------------------------------------------- kernel hooks
 
-    def on_trigger(self, rmw: PendingRMW) -> None:
+    def on_trigger(self, rmw: RMW) -> None:
         bits = total_bits(rmw.args)
         self._args_bits[rmw.rmw_id] = bits
         self.pending_args_total += bits
 
-    def on_apply(self, rmw: AppliedRMW) -> None:
+    def on_apply(self, rmw: RMW) -> None:
         self.pending_args_total -= self._args_bits.pop(rmw.rmw_id, 0)
         response_bits = total_bits(rmw.response)
         self._response_bits[rmw.rmw_id] = response_bits
@@ -281,7 +281,7 @@ class StorageLedger(KernelListener):
         self.bo_state_total += new_state_bits - self._bo_state_bits[rmw.bo_id]
         self._bo_state_bits[rmw.bo_id] = new_state_bits
 
-    def on_deliver(self, rmw: AppliedRMW) -> None:
+    def on_deliver(self, rmw: RMW) -> None:
         response_bits = self._response_bits.pop(rmw.rmw_id, 0)
         self._bo_response_bits[rmw.bo_id] -= response_bits
         self.undelivered_total -= response_bits
@@ -289,8 +289,8 @@ class StorageLedger(KernelListener):
     def on_bo_crash(
         self,
         bo_id: int,
-        dropped_pending: list[PendingRMW],
-        dropped_applied: list[AppliedRMW],
+        dropped_pending: list[RMW],
+        dropped_applied: list[RMW],
     ) -> None:
         for rmw in dropped_pending:
             self.pending_args_total -= self._args_bits.pop(rmw.rmw_id, 0)

@@ -30,7 +30,7 @@ from repro.errors import SchedulerExhausted
 from repro.registers.base import RegisterProtocol, RegisterSetup
 from repro.sim.kernel import RunResult, Simulation
 from repro.sim.schedulers import FairScheduler, Scheduler
-from repro.sim.trace import Trace
+from repro.sim.trace import EventLog, Trace
 from repro.storage.cost import PeakTracker, StorageMeter
 from repro.workloads.generators import WorkloadSpec, reader_name
 
@@ -108,7 +108,7 @@ def new_simulation(
     setup: RegisterSetup,
     wave: list[bytes],
     *,
-    keep_events: bool = True,
+    keep_events: bool = False,
     prime_encodes: bool = True,
     share_decodes: bool = True,
 ) -> Simulation:
@@ -120,9 +120,12 @@ def new_simulation(
     codeword). ``share_decodes`` lets readers assembling the same block
     set share one decode pass through a
     :class:`~repro.coding.oracles.DecodeShareCache`. Both are caches only
-    and never change any measurement.
+    and never change any measurement. ``keep_events`` attaches an
+    :class:`~repro.sim.trace.EventLog`, filling ``sim.trace.events``.
     """
-    sim = Simulation(protocol_cls(setup), keep_events=keep_events)
+    sim = Simulation(protocol_cls(setup))
+    if keep_events:
+        sim.attach(EventLog(sim))
     if (prime_encodes and len(wave) >= 2
             and isinstance(sim.scheme, MDSCodingScheme)):
         sim.encode_plan = BatchEncodePlan(
@@ -138,7 +141,7 @@ def uniform_wave(
     setup: RegisterSetup,
     spec: WorkloadSpec | None = None,
     *,
-    keep_events: bool = True,
+    keep_events: bool = False,
     prime_encodes: bool = True,
     share_decodes: bool = True,
 ) -> Workload:
@@ -230,7 +233,7 @@ def run_register_workload(
     scheduler: Scheduler | None = None,
     max_steps: int = 400_000,
     keep_series: bool = False,
-    keep_events: bool = True,
+    keep_events: bool = False,
     require_quiescence: bool = True,
     configure: Callable[[Simulation, Scheduler], Scheduler] | None = None,
     prime_encodes: bool = True,

@@ -4,16 +4,50 @@ The kernel's O(1) accessors (`first_appliable`, `first_deliverable`,
 per-client variants, counts, nth-sampling arrays) must agree with the
 reference definitions — "pending RMWs on live objects, oldest first" and
 "applied RMWs of live clients, oldest first" — at every step of arbitrary
-schedules, including crashes.
+schedules, including crashes, for every register. The sampling arrays and
+per-client queues are built on first use, so they must also agree when
+first built in the middle of a run; and every blocked client's pushed
+wait count must equal a recount over its handles.
 """
 
 import random
 
 import pytest
 
-from repro.registers import RegisterSetup, SafeCodedRegister
-from repro.sim import RandomScheduler, Simulation
-from repro.workloads import WorkloadSpec, make_value
+from repro.registers import (
+    ABDRegister,
+    AdaptiveRegister,
+    CASRegister,
+    CodedOnlyRegister,
+    RegisterSetup,
+    SafeCodedRegister,
+    replication_setup,
+)
+from repro.sim import (
+    RandomScheduler,
+    RMWStatus,
+    Simulation,
+    WaitResponses,
+)
+from repro.sim.schedulers import SoloClientScheduler
+from repro.storage import StorageLedger
+from repro.workloads import WorkloadSpec, make_value, run_register_workload
+
+SETUP = RegisterSetup(f=1, k=2, data_size_bytes=16)
+
+REGISTERS = [
+    SafeCodedRegister,
+    ABDRegister,
+    CodedOnlyRegister,
+    CASRegister,
+    AdaptiveRegister,
+]
+
+
+def setup_for(register_cls):
+    if register_cls is ABDRegister:
+        return replication_setup(f=1, data_size_bytes=16)
+    return SETUP
 
 
 def reference_appliable(sim):
@@ -59,9 +93,21 @@ def assert_queues_match_reference(sim):
         )
 
 
-def loaded_sim():
-    setup = RegisterSetup(f=1, k=2, data_size_bytes=16)
-    sim = Simulation(SafeCodedRegister(setup))
+def assert_waits_match_recount(sim):
+    """Each blocked client's O(1) wait check equals a recount."""
+    for client in sim.clients.values():
+        wait = client.current.waiting if client.current else None
+        if isinstance(wait, WaitResponses):
+            delivered = sum(
+                handle.status is RMWStatus.DELIVERED for handle in wait.handles
+            )
+            assert wait.delivered == delivered
+            assert wait.satisfied() == (delivered >= wait.need)
+
+
+def loaded_sim(register_cls=SafeCodedRegister):
+    setup = setup_for(register_cls)
+    sim = Simulation(register_cls(setup))
     values = WorkloadSpec(writers=3, writes_per_writer=1).write_values(setup)
     for name, writes in values.items():
         client = sim.add_client(name)
@@ -72,13 +118,12 @@ def loaded_sim():
     return sim
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_indices_match_reference_under_random_schedule_with_crashes(seed):
-    sim = loaded_sim()
+def random_run_with_crashes(sim, seed, steps=300):
+    """Yield after every action of a random run with seeded crashes."""
     scheduler = RandomScheduler(seed=seed)
     rng = random.Random(1000 + seed)
     crashed_bos = 0
-    for _ in range(300):
+    for _ in range(steps):
         action = scheduler.next_action(sim)
         if action is None:
             break
@@ -91,8 +136,51 @@ def test_indices_match_reference_under_random_schedule_with_crashes(seed):
             name = rng.choice(list(sim.clients))
             if not sim.clients[name].crashed:
                 sim.crash_client(name)
+        yield
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_indices_match_reference_under_random_schedule_with_crashes(seed):
+    for register_cls in REGISTERS:
+        sim = loaded_sim(register_cls)
+        for _ in random_run_with_crashes(sim, seed):
+            assert_queues_match_reference(sim)
+            assert_waits_match_recount(sim)
         assert_queues_match_reference(sim)
-    assert_queues_match_reference(sim)
+
+
+@pytest.mark.parametrize("register_cls", REGISTERS)
+def test_client_index_first_built_by_a_solo_reader_mid_run(register_cls):
+    """A random prefix freezes work of every client; the per-client
+    queues are first built when the solo reader starts, and must match
+    the reference from then on."""
+    sim = loaded_sim(register_cls)
+    for step, _ in enumerate(random_run_with_crashes(sim, seed=5)):
+        if step == 40:
+            break
+    assert sim.pending or sim.applied, "the prefix must leave frozen work"
+    built = {type(listener).__name__ for listener in sim._listeners}
+    assert "_ClientQueues" not in built
+    sim.add_client("solo").enqueue_read()
+    solo = SoloClientScheduler("solo")
+    while (action := solo.next_action(sim)) is not None:
+        sim.execute(action)
+        assert_queues_match_reference(sim)
+        assert_waits_match_recount(sim)
+    [op] = [op for op in sim.trace.ops.values() if op.client == "solo"]
+    assert op.complete
+
+
+def test_fair_run_builds_no_sampling_or_client_index():
+    """A metered fair run attaches the storage ledger and nothing else."""
+    result = run_register_workload(
+        SafeCodedRegister, SETUP,
+        WorkloadSpec(writers=3, writes_per_writer=1, readers=1,
+                     reads_per_reader=1),
+    )
+    assert result.run.quiescent and result.sim.quiescent()
+    assert [type(listener) for listener in result.sim._listeners] == \
+        [StorageLedger]
 
 
 def test_pending_only_ever_holds_live_objects():
@@ -110,7 +198,7 @@ def test_pending_only_ever_holds_live_objects():
 
 
 def test_first_deliverable_skips_crashed_clients_lazily():
-    setup = RegisterSetup(f=1, k=2, data_size_bytes=16)
+    setup = SETUP
     sim = Simulation(SafeCodedRegister(setup))
     for name in ("w0", "w1"):
         client = sim.add_client(name)

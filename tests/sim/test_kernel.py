@@ -10,7 +10,7 @@ from repro.sim import (
     RMWStatus,
     Simulation,
 )
-from repro.sim.trace import EventKind, OpKind
+from repro.sim.trace import EventKind, EventLog, OpKind
 from tests.helpers import CounterProtocol, counter_sim, small_setup
 
 
@@ -28,7 +28,7 @@ class TestTriggerApplyDeliver:
         start_write(sim)
         assert len(sim.pending) == sim.protocol.n
         assert all(
-            rmw.handle.status is RMWStatus.PENDING for rmw in sim.pending.values()
+            rmw.status is RMWStatus.PENDING for rmw in sim.pending.values()
         )
 
     def test_trigger_does_not_change_state(self):
@@ -51,17 +51,21 @@ class TestTriggerApplyDeliver:
         sim.apply_rmw(first.rmw_id)
         assert first.rmw_id in sim.applied
         assert first.rmw_id not in sim.pending
-        assert first.handle.status is RMWStatus.APPLIED
+        assert first.status is RMWStatus.APPLIED
 
     def test_response_not_visible_until_delivery(self):
         sim = counter_sim()
         start_write(sim)
         first = sim.appliable_rmws()[0]
         sim.apply_rmw(first.rmw_id)
-        assert first.handle.response is None
+        # One record from trigger to delivery: the applied response sits on
+        # it (Definition 2 charges it to the base object), and protocols
+        # read responses only of handles that have responded.
+        assert not first.responded
         sim.deliver_response(first.rmw_id)
-        assert first.handle.response == 1
-        assert first.handle.status is RMWStatus.DELIVERED
+        assert first.responded
+        assert first.response == 1
+        assert first.status is RMWStatus.DELIVERED
 
     def test_apply_unknown_rmw_raises(self):
         sim = counter_sim()
@@ -92,7 +96,7 @@ class TestTriggerApplyDeliver:
         start_write(sim)
         first = sim.appliable_rmws()[0]
         sim.execute(Action(ActionKind.APPLY_DELIVER, first.rmw_id))
-        assert first.handle.status is RMWStatus.DELIVERED
+        assert first.status is RMWStatus.DELIVERED
 
 
 class TestWaits:
@@ -108,6 +112,19 @@ class TestWaits:
         sim.apply_rmw(rmws[2].rmw_id)
         sim.deliver_response(rmws[2].rmw_id)
         assert client.runnable()
+
+    def test_wait_count_follows_status_writes_both_ways(self):
+        sim = counter_sim()
+        client = start_write(sim)
+        wait = client.current.waiting
+        first = sim.appliable_rmws()[0]
+        sim.apply_rmw(first.rmw_id)
+        sim.deliver_response(first.rmw_id)
+        assert wait.delivered == 1
+        first.status = RMWStatus.DELIVERED  # rewriting the same status
+        assert wait.delivered == 1
+        first.status = RMWStatus.APPLIED    # a whitebox write back
+        assert wait.delivered == 0
 
     def test_op_completes_after_wait_satisfied(self):
         sim = counter_sim()
@@ -146,7 +163,7 @@ class TestCrashes:
         start_write(sim)
         victim = sim.appliable_rmws()[0]
         sim.crash_base_object(victim.bo_id)
-        assert victim.handle.status is RMWStatus.DROPPED
+        assert victim.status is RMWStatus.DROPPED
         assert victim.rmw_id not in sim.pending
 
     def test_bo_crash_drops_undelivered_response(self):
@@ -155,7 +172,7 @@ class TestCrashes:
         victim = sim.appliable_rmws()[0]
         sim.apply_rmw(victim.rmw_id)
         sim.crash_base_object(victim.bo_id)
-        assert victim.handle.status is RMWStatus.DROPPED
+        assert victim.status is RMWStatus.DROPPED
         assert victim.rmw_id not in sim.applied
 
     def test_trigger_on_crashed_bo_is_dropped(self):
@@ -191,7 +208,7 @@ class TestCrashes:
         sim.crash_client("w0")
         assert not sim.deliverable_responses()
         sim.deliver_response(rmw.rmw_id)  # direct call: dropped, not delivered
-        assert rmw.handle.status is RMWStatus.DROPPED
+        assert rmw.status is RMWStatus.DROPPED
 
     def test_stepping_crashed_client_raises(self):
         sim = counter_sim()
@@ -202,6 +219,7 @@ class TestCrashes:
 
     def test_crash_events_traced(self):
         sim = counter_sim()
+        sim.attach(EventLog(sim))
         sim.add_client("w0")
         sim.crash_base_object(2)
         sim.crash_client("w0")

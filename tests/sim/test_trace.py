@@ -1,6 +1,11 @@
 """Trace-recording tests."""
 
-from repro.sim.trace import EventKind, OpKind, OpRecord, Trace
+import pytest
+
+from repro.registers import AdaptiveRegister, RegisterSetup
+from repro.sim.trace import EventKind, EventLog, OpKind, OpRecord, Trace
+from repro.workloads import WorkloadSpec, run_register_workload
+from tests.helpers import counter_sim
 
 
 class TestOpRecord:
@@ -41,23 +46,61 @@ class TestTrace:
         assert len(trace.reads()) == 1
 
     def test_events_of_kind(self):
-        trace = Trace()
-        trace.event(1, EventKind.TRIGGER, rmw=0)
-        trace.event(2, EventKind.APPLY, rmw=0)
-        trace.event(3, EventKind.APPLY, rmw=1)
+        sim = counter_sim()
+        sim.attach(EventLog(sim))
+        trace = sim.trace
+        client = sim.add_client("c1")
+        client.enqueue_write(bytes(8))
+        sim.step_client(client)
+        for rmw in sim.appliable_rmws()[:2]:
+            sim.apply_rmw(rmw.rmw_id)
         assert len(trace.events_of_kind(EventKind.APPLY)) == 2
         assert trace.rmw_count() == 2
 
     def test_keep_events_false_drops_events_not_ops(self):
-        trace = Trace(keep_events=False)
-        trace.event(1, EventKind.TRIGGER, rmw=0)
-        record = trace.record_invoke(2, 0, "c1", OpKind.WRITE, b"v")
+        sim = counter_sim()  # no EventLog attached
+        trace = sim.trace
+        client = sim.add_client("c1")
+        client.enqueue_write(bytes(8))
+        sim.step_client(client)
+        record = trace.ops[client.current.op_uid]
         assert trace.events == []
         assert trace.ops[0] is record
 
     def test_event_details_preserved(self):
-        trace = Trace()
-        trace.event(4, EventKind.DELIVER, rmw=9, client="c3")
-        [event] = trace.events
+        sim = counter_sim()
+        sim.attach(EventLog(sim))
+        trace = sim.trace
+        client = sim.add_client("c3")
+        client.enqueue_write(bytes(8))
+        sim.step_client(client)                      # time 1
+        first, second = sim.appliable_rmws()[:2]
+        sim.apply_rmw(first.rmw_id)                  # time 2
+        sim.apply_rmw(second.rmw_id)                 # time 3
+        sim.deliver_response(first.rmw_id)           # time 4
+        [event] = trace.events_of_kind(EventKind.DELIVER)
         assert event.time == 4
-        assert event.details == {"rmw": 9, "client": "c3"}
+        assert event.details == {"rmw": first.rmw_id, "client": "c3"}
+
+
+class TestRmwCount:
+    """Applies are counted by the base objects, so the count does not
+    depend on whether an event log was attached."""
+
+    @pytest.mark.parametrize("keep_events", [False, True])
+    def test_rmw_count_equals_applies_with_and_without_event_log(
+        self, keep_events
+    ):
+        result = run_register_workload(
+            AdaptiveRegister, RegisterSetup(f=1, k=2, data_size_bytes=16),
+            WorkloadSpec(writers=2, writes_per_writer=1, readers=1,
+                         reads_per_reader=1),
+            keep_events=keep_events,
+        )
+        trace = result.trace
+        assert trace.rmw_count() == result.total_rmw_applies > 0
+        if keep_events:
+            assert len(trace.events_of_kind(EventKind.APPLY)) == \
+                trace.rmw_count()
+        else:
+            assert trace.events == []
