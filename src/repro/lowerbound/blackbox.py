@@ -107,7 +107,7 @@ def stored_indices_of(sim: Simulation, op_uid: int) -> set[int]:
         if not base_object.crashed:
             absorb(base_object.state)
     for rmw in sim.applied.values():
-        absorb(rmw.response)
+        absorb(rmw.held)
     for rmw in sim.pending.values():
         absorb(rmw.args)
     return indices
@@ -129,7 +129,7 @@ def _block_map(sim: Simulation) -> dict[tuple, list[bytes]]:
     for base_object in sim.base_objects:
         absorb(("bo", base_object.bo_id), base_object.state)
     for rmw in sim.applied.values():
-        absorb(("resp", rmw.rmw_id), rmw.response)
+        absorb(("resp", rmw.rmw_id), rmw.held)
     for rmw in sim.pending.values():
         absorb(("args", rmw.rmw_id), rmw.args)
     return {key: sorted(payloads) for key, payloads in mapping.items()}

@@ -42,8 +42,10 @@ class RMW:
     entry from trigger to delivery (Section 2).
 
     While pending, ``args`` (the *visible* parameters) count as the
-    triggering client's state; once applied, ``response`` counts as the
-    base object's until delivered (Definition 2). ``fn(state, args) ->
+    triggering client's state; once applied, the response is ``held`` at
+    the base object and counts as its storage until delivered (Definition
+    2). Only delivery copies it to ``response``, so a protocol never sees a
+    response the model has not delivered. ``fn(state, args) ->
     (new_state, response)`` must be pure. Setting ``status`` updates the
     delivered count of every :class:`WaitResponses` over this record.
     """
@@ -55,6 +57,7 @@ class RMW:
     client_name: str = ""
     fn: Any = None
     args: Any = None
+    held: Any = None
     response: Any = None
     _status: RMWStatus = field(default=RMWStatus.PENDING, init=False)
     _waits: tuple = field(default=(), init=False, repr=False)
@@ -153,7 +156,7 @@ class KernelListener:
     default. Listeners are notified *after* the kernel's own bookkeeping,
     so the simulation state they observe is the post-transition state.
     Attach one with :meth:`Simulation.attach`. The Definition 2 storage
-    ledger, the event log, and the random and per-client queue indices
+    ledger, the event log, and the random scheduler's sampling arrays
     are all listeners, each attached only when something reads it.
     """
 

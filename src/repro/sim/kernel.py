@@ -39,11 +39,11 @@ Every transition (trigger, apply, deliver, the ``crash_*`` pair, each
 invocation and return) notifies the attached
 :class:`~repro.sim.actions.KernelListener` hooks, and everything else
 rides them: the Definition 2 storage ledger, the opt-in
-:class:`~repro.sim.trace.EventLog`, and the sampling arrays and per-client
-queues that only random, solo and sequential schedules read. Each is built
-from the queues when first read, so a fair run builds neither index and
-records no events. Crashes (at most ``f`` plus one per client) scan the
-queues.
+:class:`~repro.sim.trace.EventLog`, and the sampling arrays that only
+random schedules read. Each is built from the queues when first read, so
+a fair run builds no sampling array and records no events. Crashes (at
+most ``f`` plus one per client) and the per-client queries of solo and
+sequential schedules scan the queues.
 """
 
 from __future__ import annotations
@@ -145,32 +145,6 @@ class _SamplingIndex(KernelListener):
         for rmw in self.applied.values():
             if rmw.client_name == name:
                 self.deliverable.discard(rmw.rmw_id)
-
-
-class _ClientQueues(KernelListener):
-    """Each client's undelivered RMWs in id order, for the schedulers that
-    serve one client at a time (solo reads, sequential runs)."""
-
-    def __init__(self, sim: "Simulation") -> None:
-        self.own: dict[str, dict[int, RMW]] = {}
-        for rmw in sorted([*sim.pending.values(), *sim.applied.values()],
-                          key=lambda rmw: rmw.rmw_id):
-            self.on_trigger(rmw)
-
-    def first(self, client_name: str, status: RMWStatus) -> RMW | None:
-        own = self.own.get(client_name, {}).values()
-        return next((rmw for rmw in own if rmw.status is status), None)
-
-    def on_trigger(self, rmw: RMW) -> None:
-        self.own.setdefault(rmw.client_name, {})[rmw.rmw_id] = rmw
-
-    def on_deliver(self, rmw: RMW) -> None:
-        del self.own[rmw.client_name][rmw.rmw_id]
-
-    def on_bo_crash(self, bo_id: int, dropped_pending: list[RMW],
-                    dropped_applied: list[RMW]) -> None:
-        for rmw in (*dropped_pending, *dropped_applied):
-            del self.own[rmw.client_name][rmw.rmw_id]
 
 
 class Simulation:
@@ -305,7 +279,8 @@ class Simulation:
 
     def first_appliable_for(self, client_name: str) -> RMW | None:
         """Oldest pending RMW triggered by ``client_name``, if any."""
-        return self._lazy(_ClientQueues).first(client_name, RMWStatus.PENDING)
+        return next((rmw for rmw in self.pending.values()
+                     if rmw.client_name == client_name), None)
 
     def first_deliverable(self) -> RMW | None:
         """Oldest applied RMW whose client is live, if any.
@@ -328,7 +303,9 @@ class Simulation:
         client = self.clients.get(client_name)
         if client is None or client.crashed:
             return None
-        return self._lazy(_ClientQueues).first(client_name, _APPLIED)
+        return min((rmw for rmw in self.applied.values()
+                    if rmw.client_name == client_name),
+                   key=lambda rmw: rmw.rmw_id, default=None)
 
     def appliable_count(self) -> int:
         return len(self.pending)
@@ -445,7 +422,7 @@ class Simulation:
         rmw = self.pending.pop(rmw_id, None)
         if rmw is None:
             raise ProtocolError(f"apply of unknown/settled RMW {rmw_id}")
-        rmw.response = self.base_objects[rmw.bo_id].apply(rmw.fn, rmw.args)
+        rmw.held = self.base_objects[rmw.bo_id].apply(rmw.fn, rmw.args)
         rmw._status = _APPLIED  # no wait counts APPLIED: skip the setter
         self.applied[rmw_id] = rmw
         heapq.heappush(self._applied_heap, rmw_id)
@@ -461,6 +438,7 @@ class Simulation:
         if self.clients[rmw.client_name].crashed:
             rmw.status = _DROPPED
         else:
+            rmw.response = rmw.held
             rmw.status = _DELIVERED
         # Delivered or dropped, the response left storage either way.
         for listener in self._listeners:

@@ -229,8 +229,8 @@ class SequentialScheduler(Scheduler):
 
 def _serve(sim: "Simulation", name: str) -> Action | None:
     """Client ``name``'s next action, memory first: its oldest pending RMW,
-    then its oldest undelivered response, then a local step. O(own work),
-    however many RMWs of other clients are frozen in the queues."""
+    then its oldest undelivered response, then a local step. Each lookup
+    scans the kernel's queues, frozen work of other clients included."""
     rmw = sim.first_appliable_for(name)
     if rmw is not None:
         return Action(ActionKind.APPLY, rmw.rmw_id)

@@ -94,7 +94,7 @@ class ReferenceStorageMeter:
             b.size_bits
             for rmw in self.sim.applied.values()
             if rmw.bo_id == bo_id
-            for b in collect_blocks(rmw.response)
+            for b in collect_blocks(rmw.held)
         )
         return bits
 
@@ -105,7 +105,7 @@ class ReferenceStorageMeter:
             if not bo.crashed
         )
         undelivered = sum(
-            sum(b.size_bits for b in collect_blocks(rmw.response))
+            sum(b.size_bits for b in collect_blocks(rmw.held))
             for rmw in self.sim.applied.values()
             if not self.sim.base_objects[rmw.bo_id].crashed
         )
@@ -180,7 +180,7 @@ class ReferenceStorageMeter:
         if include_channels:
             for rmw in self.sim.applied.values():
                 if rmw.bo_id in chosen:
-                    absorb(rmw.response)
+                    absorb(rmw.held)
             trace_ops = self.sim.trace.ops
             owner_of = {
                 uid: trace_ops[uid].client
@@ -259,7 +259,7 @@ class StorageLedger(KernelListener):
             self.pending_args_total += bits
         for rmw in self.sim.applied.values():
             # Crashed objects never hold applied entries (crashes drop them).
-            bits = total_bits(rmw.response)
+            bits = total_bits(rmw.held)
             self._response_bits[rmw.rmw_id] = bits
             self._bo_response_bits[rmw.bo_id] += bits
             self.undelivered_total += bits
@@ -273,7 +273,7 @@ class StorageLedger(KernelListener):
 
     def on_apply(self, rmw: RMW) -> None:
         self.pending_args_total -= self._args_bits.pop(rmw.rmw_id, 0)
-        response_bits = total_bits(rmw.response)
+        response_bits = total_bits(rmw.held)
         self._response_bits[rmw.rmw_id] = response_bits
         self._bo_response_bits[rmw.bo_id] += response_bits
         self.undelivered_total += response_bits

@@ -100,7 +100,7 @@ class WorkloadResult:
 
     @property
     def total_rmw_applies(self) -> int:
-        return sum(bo.applied_count for bo in self.sim.base_objects)
+        return self.trace.rmw_count()
 
 
 def new_simulation(

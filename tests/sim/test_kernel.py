@@ -58,12 +58,8 @@ class TestTriggerApplyDeliver:
         start_write(sim)
         first = sim.appliable_rmws()[0]
         sim.apply_rmw(first.rmw_id)
-        # One record from trigger to delivery: the applied response sits on
-        # it (Definition 2 charges it to the base object), and protocols
-        # read responses only of handles that have responded.
-        assert not first.responded
+        assert first.response is None
         sim.deliver_response(first.rmw_id)
-        assert first.responded
         assert first.response == 1
         assert first.status is RMWStatus.DELIVERED
 
@@ -209,6 +205,7 @@ class TestCrashes:
         assert not sim.deliverable_responses()
         sim.deliver_response(rmw.rmw_id)  # direct call: dropped, not delivered
         assert rmw.status is RMWStatus.DROPPED
+        assert rmw.response is None
 
     def test_stepping_crashed_client_raises(self):
         sim = counter_sim()

@@ -1,7 +1,5 @@
 """Trace-recording tests."""
 
-import pytest
-
 from repro.registers import AdaptiveRegister, RegisterSetup
 from repro.sim.trace import EventKind, EventLog, OpKind, OpRecord, Trace
 from repro.workloads import WorkloadSpec, run_register_workload
@@ -87,20 +85,18 @@ class TestRmwCount:
     """Applies are counted by the base objects, so the count does not
     depend on whether an event log was attached."""
 
-    @pytest.mark.parametrize("keep_events", [False, True])
-    def test_rmw_count_equals_applies_with_and_without_event_log(
-        self, keep_events
-    ):
-        result = run_register_workload(
-            AdaptiveRegister, RegisterSetup(f=1, k=2, data_size_bytes=16),
-            WorkloadSpec(writers=2, writes_per_writer=1, readers=1,
-                         reads_per_reader=1),
-            keep_events=keep_events,
-        )
-        trace = result.trace
-        assert trace.rmw_count() == result.total_rmw_applies > 0
-        if keep_events:
-            assert len(trace.events_of_kind(EventKind.APPLY)) == \
-                trace.rmw_count()
-        else:
-            assert trace.events == []
+    def test_rmw_count_equals_applies_with_and_without_event_log(self):
+        counts = {}
+        for keep_events in (False, True):
+            result = run_register_workload(
+                AdaptiveRegister, RegisterSetup(f=1, k=2, data_size_bytes=16),
+                WorkloadSpec(writers=2, writes_per_writer=1, readers=1,
+                             reads_per_reader=1),
+                keep_events=keep_events,
+            )
+            counts[keep_events] = result.trace.rmw_count()
+            if keep_events:
+                applies = len(result.trace.events_of_kind(EventKind.APPLY))
+            else:
+                assert result.trace.events == []
+        assert counts[False] == counts[True] == applies > 0
