@@ -14,9 +14,7 @@ Two entry points:
   the per-scheme hot paths via pytest-benchmark;
 * ``python benchmarks/bench_coding_throughput.py [--quick]`` — a plain
   script printing the scalar-vs-vectorized MB/s table and the batch-size
-  scaling curve (``--quick`` trims repetitions for CI smoke runs;
-  ``--backend`` picks the GF(2^8) kernel and the run also times the
-  ``numpy-table`` reference for a same-run vs-table speedup).
+  scaling curve (``--quick`` trims repetitions for CI smoke runs).
 """
 
 from __future__ import annotations
@@ -97,21 +95,13 @@ def _time(fn, repetitions: int) -> float:
 
 def run_cli(
     quick: bool, k: int = 16, n: int = 32, size: int = SIZE,
-    backend: str | None = None,
-) -> tuple[str, float, float, dict[str, float], float]:
-    """Return the report, the scalar speedup, the batch-tiling ratio, the
-    headline MB/s numbers (for the CI bench-regression gate), and the
-    active backend's speedup over the ``numpy-table`` reference kernel.
+) -> tuple[str, float, float, dict[str, float]]:
+    """Return the report, the scalar speedup, the batch-tiling ratio and
+    the headline MB/s numbers (for the CI bench-regression gate).
 
     The tiling ratio is large-batch MB/s over the small-batch (<= 8) peak;
-    >= 1.0 means the old L2 cliff is gone. ``backend`` selects the GF
-    kernel (default: the process's active backend); the vs-table speedup
-    is measured in the same run by temporarily switching kernels, and is
-    1.0 when the active backend *is* ``numpy-table``.
+    >= 1.0 means the old L2 cliff is gone.
     """
-    from repro.coding import get_backend, use_backend
-
-    active = use_backend(backend) if backend else get_backend()
     rs = ReedSolomonCode(k=k, n=n, data_size_bytes=size)
     value = os.urandom(size)
     reference = scalar_encode_codeword(rs, value)
@@ -124,33 +114,15 @@ def run_cli(
     speedup = scalar_s / vector_s
     mb = size / 1e6
 
-    # Same workload on the reference kernel, for the vs-table speedup.
-    if active.name == "numpy-table":
-        table_s = vector_s
-    else:
-        use_backend("numpy-table")
-        try:
-            assert rs.encode_many(value, range(n)) == reference, (
-                "numpy-table kernel diverged"
-            )
-            table_s = _time(lambda: rs.encode_many(value, range(n)), reps)
-        finally:
-            use_backend(active.name)
-    vs_table = table_s / vector_s
-
     lines = [
-        f"coding throughput — RS(k={k}, n={n}), {size // 1024} KiB values, "
-        f"backend {active.name}",
+        f"coding throughput — RS(k={k}, n={n}), {size // 1024} KiB values",
         "",
         "full-codeword encode (all n blocks):",
         f"  scalar reference   {mb / scalar_s:8.1f} MB/s   "
         f"({scalar_s * 1e3:6.2f} ms)",
-        f"  numpy-table        {mb / table_s:8.1f} MB/s   "
-        f"({table_s * 1e3:6.2f} ms)",
         f"  vectorized         {mb / vector_s:8.1f} MB/s   "
         f"({vector_s * 1e3:6.2f} ms)",
         f"  speedup            {speedup:8.1f} x   (acceptance bar: >= 5x)",
-        f"  vs numpy-table     {vs_table:8.2f} x",
         "",
         "encode_batch scaling (values encoded together -> MB/s):",
     ]
@@ -207,7 +179,7 @@ def run_cli(
             len(batch_blocks) * mb / decode_batch_s, 1
         ),
     }
-    return ("\n".join(lines), speedup, tiling_ratio, throughputs, vs_table)
+    return ("\n".join(lines), speedup, tiling_ratio, throughputs)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -220,36 +192,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--n", type=int, default=32)
     parser.add_argument("--size", type=int, default=SIZE,
                         help="value size in bytes")
-    parser.add_argument(
-        "--backend", default=None,
-        help="GF(2^8) kernel to benchmark (see repro.coding"
-             ".available_backends); default: the active backend",
-    )
     args = parser.parse_args(argv)
-    table, _, _, throughputs, vs_table = run_cli(
+    table, _, _, throughputs = run_cli(
         quick=args.quick, k=args.k, n=args.n, size=args.size,
-        backend=args.backend,
     )
     print(table)
-
-    from repro.coding import get_backend
-
-    backend = get_backend().name
-    if not args.quick:
-        # Full-mode acceptance gate (ISSUE PR 10): the numba kernel must
-        # clear 1 GB/s encode; the nibble kernel — pure numpy, so bounded
-        # by gather bandwidth — must instead beat the table kernel by a
-        # clear margin in the same run.
-        encode = throughputs["vectorized_encode_mb_per_s"]
-        if backend == "numba":
-            assert encode >= 1000.0, (
-                f"numba encode fell to {encode:.0f} MB/s (bar: 1 GB/s)"
-            )
-        elif backend == "numpy-nibble":
-            assert vs_table >= 1.3, (
-                f"nibble kernel only {vs_table:.2f}x numpy-table "
-                "(bar: >= 1.3x)"
-            )
 
     from repro.analysis.benchgate import metric, write_bench_summary
 
@@ -375,27 +322,16 @@ if pytest is not None:
             runners cannot flake while a real regression to the scalar
             path still fails loudly.
             """
-            table, speedup, tiling_ratio, _, vs_table = run_cli(quick=True)
+            table, speedup, tiling_ratio, _ = run_cli(quick=True)
             record_table("e11_coding_throughput", table)
             assert speedup >= 3.0, f"vectorized speedup collapsed: {speedup:.1f}x"
             # Column tiling keeps large batches at (or above) the
             # small-batch peak; 0.85 leaves noise headroom — the untiled
-            # kernel sat near 0.66 and fails this loudly. The same bar
-            # must hold under the nibble kernel (its 16-lane packing
-            # changes the cache footprint per tile).
+            # kernel sat near 0.66 and fails this loudly.
             assert tiling_ratio >= 0.85, (
                 f"large-batch throughput fell to {tiling_ratio:.2f}x the "
                 "small-batch peak: the L2 dip is back"
             )
-            from repro.coding import get_backend
-
-            if get_backend().name == "numpy-nibble":
-                # Dev hardware shows ~1.5-2.1x; 1.1 is the no-regression
-                # floor (a fall to parity means the nibble path silently
-                # degenerated to the table path).
-                assert vs_table >= 1.1, (
-                    f"nibble kernel only {vs_table:.2f}x numpy-table"
-                )
 
 
 if __name__ == "__main__":

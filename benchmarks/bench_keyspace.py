@@ -92,13 +92,8 @@ def build_cells(spec: dict) -> tuple:
 
 def run(
     quick: bool, workers: int = 1, echo=lambda line: None,
-    backend: str | None = None,
 ) -> dict:
-    """Run the keyspace sweep; assert floors and the crossover shape.
-
-    ``backend`` pins the GF(2^8) coding backend (pool workers included);
-    the measured fields are backend-invariant.
-    """
+    """Run the keyspace sweep; assert floors and the crossover shape."""
     spec = QUICK if quick else FULL
     cells = build_cells(spec)
     echo(f"keyspace: {len(cells)} cells — {spec['keys'][0]:,} keys over "
@@ -106,8 +101,7 @@ def run(
          f"{spec['wave_size']} writes + {spec['reads_per_wave']} reads")
 
     started = time.perf_counter()
-    result = run_keyspace_sweep(cells, workers=workers,
-                                coding_backend=backend)
+    result = run_keyspace_sweep(cells, workers=workers)
     wall_s = time.perf_counter() - started
 
     violations = keyspace_shape_violations(result)
@@ -198,14 +192,8 @@ def main(argv: list[str] | None = None) -> int:
         "--workers", type=int, default=1,
         help="process-pool size (results byte-identical to serial)",
     )
-    parser.add_argument(
-        "--backend", type=str, default=None,
-        help="GF(2^8) coding backend for the run (default: active "
-             "backend; results are backend-invariant)",
-    )
     args = parser.parse_args(argv)
-    payload = run(args.quick, workers=args.workers, echo=print,
-                  backend=args.backend)
+    payload = run(args.quick, workers=args.workers, echo=print)
 
     table = render(payload)
     print()

@@ -207,16 +207,12 @@ def run(
     workers: int = 1,
     checkpoint: str | None = None,
     resume: bool = False,
-    backend: str | None = None,
 ) -> tuple[SweepResult, str]:
     """Run the matrix, write results, return (result, rendered text).
 
     ``workers > 1`` fans the cells out across a process pool (measured
     fields byte-identical to serial); ``checkpoint``/``resume`` journal
     completed cells so an interrupted matrix picks up where it stopped.
-    ``backend`` pins the GF(2^8) coding backend for the run (including
-    pool workers); the measured fields are backend-invariant, so any
-    registered backend must produce the same records.
     """
     spec = QUICK if quick else FULL
     grid = build_grid(spec)
@@ -236,7 +232,6 @@ def run(
         workers=workers,
         checkpoint=checkpoint,
         resume=resume,
-        coding_backend=backend,
         progress=lambda done, total, point: echo(
             f"  [{done}/{total}] {point.register} f={point.f} k={point.k} "
             f"c={point.c} D={point.data_size_bytes * 8}"
@@ -277,15 +272,9 @@ def main(argv: list[str] | None = None) -> int:
         "--resume", action="store_true",
         help="resume from an existing --checkpoint journal",
     )
-    parser.add_argument(
-        "--backend", type=str, default=None,
-        help="GF(2^8) coding backend for the run (default: active "
-             "backend; results are backend-invariant)",
-    )
     args = parser.parse_args(argv)
     result, text = run(quick=args.quick, echo=print, workers=args.workers,
-                       checkpoint=args.checkpoint, resume=args.resume,
-                       backend=args.backend)
+                       checkpoint=args.checkpoint, resume=args.resume)
     print()
     print(text)
     # Explicit (not assert) so the smoke run fails even under python -O.

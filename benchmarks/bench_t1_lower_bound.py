@@ -50,11 +50,11 @@ def test_theorem1_lower_bound(benchmark, record_table, register_cls):
             f, c, outcome.data_bits, outcome.fired,
             outcome.frozen_count, outcome.c_plus_count,
             outcome.storage_bits, outcome.lemma3_bound_bits,
-            outcome.theorem1_bound_bits,
+            outcome.asymptotic_bound_bits,
         ])
     table = format_table(
         ["f", "c", "D", "fired", "|F|", "|C+|", "measured(bits)",
-         "lemma3-bound", "thm1-bound"],
+         "lemma3-bound", "min(f,c)·D/2"],
         rows,
     )
     record_table(f"E1_theorem1_{register_cls.name}", table)

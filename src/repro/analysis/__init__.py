@@ -18,6 +18,7 @@ from importlib import import_module
 from repro.analysis.bounds import (
     adaptive_upper_bound_bits,
     disintegrated_bound_bits,
+    lemma3_bound_bits,
     lrc_max_dimension,
     lrc_storage_floor_bits,
     theorem1_bound_bits,
@@ -71,6 +72,7 @@ __all__ = [
     "keyspace_advantage_ratios",
     "keyspace_grid",
     "keyspace_shape_violations",
+    "lemma3_bound_bits",
     "linear_slope",
     "lrc_max_dimension",
     "lrc_storage_floor_bits",

@@ -16,17 +16,11 @@ The summary schema is deliberately tiny::
       "bench": "sim_throughput",
       "schema": 1,
       "quick": true,
-      "backend": "numpy-nibble",
       "metrics": {
         "ledger_actions_per_s": {"value": 16000.0, "unit": "actions/s",
                                   "direction": "higher"}
       }
     }
-
-``backend`` records the active GF(2^8) kernel
-(:func:`repro.coding.backends.get_backend`) so every summary says which
-kernel produced its numbers; the gate ignores it when comparing (older
-baselines predate the key).
 
 ``direction`` declares which way is better: ``"higher"`` for throughput,
 ``"lower"`` for wall-clock. Regression is always judged as an implied
@@ -78,11 +72,8 @@ def write_bench_summary(
     ``metrics`` maps metric names to :func:`metric` dicts. ``quick``
     records which mode produced the numbers — the gate refuses to compare
     a quick run against a full-mode baseline (their workloads differ, so
-    the ratio would be meaningless). The active coding backend is stamped
-    into the document for observability (never compared).
+    the ratio would be meaningless).
     """
-    from repro.coding.backends import get_backend
-
     for metric_name, entry in metrics.items():
         if entry.get("direction") not in DIRECTIONS:
             raise ParameterError(
@@ -94,7 +85,6 @@ def write_bench_summary(
         "bench": name,
         "schema": BENCH_SCHEMA_VERSION,
         "quick": quick,
-        "backend": get_backend().name,
         "metrics": metrics,
     }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

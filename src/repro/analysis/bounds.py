@@ -6,6 +6,8 @@ ledger can all state the same bound:
 
 * :func:`theorem1_bound_bits` — this paper's Theorem 1 lower bound
   ``min((f+1) D/2, c (D/2+1))``;
+* :func:`lemma3_bound_bits` — Lemma 3's guarantee at any ``ell``,
+  ``min((f+1) ell, c (D - ell + 1))``;
 * :func:`adaptive_upper_bound_bits` — the Section 5 upper bound
   ``(min(f, c)+1) * (n/k) * D``;
 * :func:`disintegrated_bound_bits` — Berger–Keidar–Spiegelman's integrated
@@ -24,6 +26,11 @@ from repro.errors import ParameterError
 def theorem1_bound_bits(f: int, c: int, data_bits: int) -> int:
     """Theorem 1 (this paper): storage >= ``min((f+1) D/2, c (D/2+1))``."""
     return min((f + 1) * data_bits // 2, c * (data_bits // 2 + 1))
+
+
+def lemma3_bound_bits(f: int, c: int, data_bits: int, ell_bits: int) -> int:
+    """Lemma 3: storage >= ``min((f+1) ell, c (D - ell + 1))``."""
+    return min((f + 1) * ell_bits, c * (data_bits - ell_bits + 1))
 
 
 def adaptive_upper_bound_bits(f: int, k: int, c: int, data_bits: int) -> int:

@@ -15,10 +15,9 @@ ideal process-pool workload. This module is the one engine that runs them:
   and startup, results stream back in completion order, and the merge
   reorders them into cell order — so the result is **byte-identical to
   the ``workers=1`` run for any worker count** once the per-record
-  execution metadata (``wall_clock_s``, ``worker``, ``coding_backend``)
-  is stripped: ``to_json(include_timing=False)`` compares equal across
-  ``workers`` ∈ {1, 2, 4, ...}, crash firing records and overlay curves
-  included.
+  execution metadata (``wall_clock_s``, ``worker``) is stripped:
+  ``to_json(include_timing=False)`` compares equal across ``workers`` ∈
+  {1, 2, 4, ...}, crash firing records and overlay curves included.
 
 * checkpoint/resume — with ``checkpoint=path`` every completed cell is
   appended to a binary journal as it finishes (single writer: the parent
@@ -58,7 +57,6 @@ from repro.analysis.sweeps import (
     normalize_scenarios,
     sweep_cells,
 )
-from repro.coding import backends as coding_backends
 from repro.errors import CheckpointError, ParameterError
 from repro.journal import SignedJournal
 
@@ -195,7 +193,6 @@ def _run_cells(
     *,
     workers: int,
     chunk_size: int | None,
-    coding_backend: str | None,
     journal: SweepJournal | None = None,
     progress: Callable[[int, int, tuple], None] | None = None,
 ) -> list:
@@ -208,21 +205,13 @@ def _run_cells(
     cells go to a spawn pool (``execute`` must be a module-level callable)
     and results are merged back into cell order as they arrive.
 
-    ``coding_backend`` (``None``: the process's active backend) is
-    resolved to a *name* that rides ``kwargs`` — spawn workers re-import
-    ``repro`` and would otherwise fall back to the default kernel. With a
-    ``journal``, cells it already holds are not recomputed and every newly
-    finished cell is appended as it completes. ``progress(done, total,
-    cell)`` fires after each computed cell, in completion order.
+    With a ``journal``, cells it already holds are not recomputed and
+    every newly finished cell is appended as it completes.
+    ``progress(done, total, cell)`` fires after each computed cell, in
+    completion order.
     """
     if workers < 1:
         raise ParameterError("workers must be >= 1")
-    backend_name = (
-        coding_backends.use_backend(coding_backend).name
-        if coding_backend is not None
-        else coding_backends.get_backend().name
-    )
-    kwargs = dict(kwargs, coding_backend=backend_name)
     done: dict[int, object] = {}
     if journal is not None:
         done = journal.load()
@@ -277,7 +266,6 @@ def run_sweep(
     checkpoint: str | Path | None = None,
     resume: bool = False,
     chunk_size: int | None = None,
-    coding_backend: str | None = None,
 ) -> SweepResult:
     """Execute every ``scenario x grid-point`` cell; return the results.
 
@@ -314,10 +302,6 @@ def run_sweep(
       is never silently overwritten.
     * ``chunk_size`` — cells per pool task (default:
       :func:`default_chunk_size`).
-    * ``coding_backend`` — GF kernel name for every cell (defaults to the
-      process's active backend). Backends are byte-identical, so this is
-      an execution knob like ``workers`` — deliberately excluded from the
-      checkpoint signature.
 
     ``progress`` is called as ``progress(done, total, point)`` after each
     cell completes — in completion order, which under a pool is not the
@@ -342,7 +326,7 @@ def run_sweep(
             )
     return SweepResult(_run_cells(
         cells, execute_cell, knobs, workers=workers, chunk_size=chunk_size,
-        coding_backend=coding_backend, journal=journal,
+        journal=journal,
         progress=progress and (
             lambda done, total, cell: progress(done, total, cell[1])
         ),
@@ -357,7 +341,6 @@ def run_keyspace_sweep(
     progress: Callable[[int, int], None] | None = None,
     workers: int = 1,
     chunk_size: int | None = None,
-    coding_backend: str | None = None,
 ) -> KeyspaceSweepResult:
     """Execute keyspace cells, in-process or across a spawn pool.
 
@@ -369,14 +352,13 @@ def run_keyspace_sweep(
     grids are small (a handful of heavy cells), so there is no checkpoint
     journal; an interrupted sweep just reruns.
 
-    ``workers``, ``chunk_size`` and ``coding_backend`` work exactly as on
-    :func:`run_sweep`; ``progress`` is called as ``progress(done, total)``.
+    ``workers`` and ``chunk_size`` work exactly as on :func:`run_sweep`;
+    ``progress`` is called as ``progress(done, total)``.
     """
     return KeyspaceSweepResult(_run_cells(
         [(spec,) for spec in cells], execute_keyspace_cell,
         dict(max_steps=max_steps, audit_storage_every=audit_storage_every),
         workers=workers, chunk_size=chunk_size,
-        coding_backend=coding_backend,
         progress=progress and (
             lambda done, total, cell: progress(done, total)
         ),

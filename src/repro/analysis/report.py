@@ -50,9 +50,10 @@ def _theorem1_section() -> Section:
                                              concurrency=c)
         ok &= outcome.bound_satisfied and outcome.writes_completed == 0
         rows.append([c, outcome.fired, outcome.storage_bits,
-                     outcome.lemma3_bound_bits, outcome.theorem1_bound_bits])
+                     outcome.lemma3_bound_bits,
+                     outcome.asymptotic_bound_bits])
     body = format_table(
-        ["c", "fired", "storage(bits)", "lemma3 bound", "thm1 bound"], rows
+        ["c", "fired", "storage(bits)", "lemma3 bound", "min(f,c)·D/2"], rows
     )
     verdict = ("Theorem 1 reproduced: storage >= min((f+1)D/2, c(D/2+1)), "
                "no write completed" if ok else "FAILED")

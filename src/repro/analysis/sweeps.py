@@ -45,7 +45,7 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
@@ -60,7 +60,6 @@ from repro.analysis.tables import (
     format_table,
     monotone_nondecreasing,
 )
-from repro.coding import backends as coding_backends
 from repro.coding.padding import PaddedScheme
 from repro.coding.reed_solomon import ReedSolomonCode
 from repro.errors import ParameterError
@@ -422,16 +421,13 @@ class SweepRecord:
     client_crashes: int = 0
     wall_clock_s: float = 0.0
     worker: int = 0
-    coding_backend: str = ""
 
 
 #: Per-record execution metadata: fields that describe *how* a cell ran
-#: (how long, on which pool worker, under which GF kernel), never *what*
-#: it measured. These are exactly the fields
-#: ``to_json(include_timing=False)`` strips so determinism checks compare
-#: pure measurement payloads — backends are byte-identical, so the active
-#: kernel is as immaterial to the measurement as the worker number.
-RECORD_METADATA_FIELDS = ("wall_clock_s", "worker", "coding_backend")
+#: (how long, on which pool worker), never *what* it measured. These are
+#: exactly the fields ``to_json(include_timing=False)`` strips so
+#: determinism checks compare pure measurement payloads.
+RECORD_METADATA_FIELDS = ("wall_clock_s", "worker")
 
 
 @dataclass
@@ -501,8 +497,14 @@ class RecordTable:
 
     @classmethod
     def from_json(cls, text: str):
-        """Rebuild a table from :meth:`to_json` output (current version
-        only; anything else raises :class:`~repro.errors.ParameterError`)."""
+        """Rebuild a table from :meth:`to_json` output.
+
+        Only the current version is read, and each record must carry
+        exactly the record type's fields (the execution metadata, which
+        has defaults, may be absent). Anything else raises
+        :class:`~repro.errors.ParameterError` naming the unexpected and
+        the missing fields.
+        """
         document = json.loads(text)
         if document.get("version") != cls.VERSION:
             raise ParameterError(
@@ -510,7 +512,24 @@ class RecordTable:
                 f"{document.get('version')!r} (this build reads "
                 f"{cls.VERSION})"
             )
-        return cls([cls.RECORD(**record) for record in document["records"]])
+        record_fields = fields(cls.RECORD)
+        names = {field.name for field in record_fields}
+        required = {
+            field.name for field in record_fields
+            if field.default is MISSING and field.default_factory is MISSING
+        }
+        records = []
+        for position, record in enumerate(document["records"]):
+            unexpected = sorted(record.keys() - names)
+            missing = sorted(required - record.keys())
+            if unexpected or missing:
+                raise ParameterError(
+                    f"{cls.__name__} record {position} does not match "
+                    f"{cls.RECORD.__name__}: unexpected fields "
+                    f"{unexpected}, missing fields {missing}"
+                )
+            records.append(cls.RECORD(**record))
+        return cls(records)
 
     def save(self, path: str | Path) -> Path:
         """Write the JSON document to ``path`` (parents created)."""
@@ -530,7 +549,9 @@ class SweepResult(RecordTable):
     :class:`SweepRecord` rows plus per-curve slicing."""
 
     RECORD = SweepRecord
-    VERSION = 4  # 4 added the coding_backend metadata field
+    # Held at 4 when a metadata field was dropped, so the pinned
+    # timing-stripped documents stay byte-identical.
+    VERSION = 4
     COLUMNS = (
         "scenario", "register", "f", "k", "n", "c", "data_bits",
         "peak_bo_state_bits", "thm1_bits", "disintegrated_bits",
@@ -750,7 +771,6 @@ def execute_cell(
     lrc_locality: int = 2,
     audit_storage_every: int = 0,
     worker: int = 0,
-    coding_backend: str = "",
 ) -> SweepRecord:
     """Run one ``scenario x point`` cell and build its :class:`SweepRecord`.
 
@@ -759,14 +779,8 @@ def execute_cell(
     pool workers above that — every field except the
     :data:`RECORD_METADATA_FIELDS` is a pure function of ``(scenario,
     point)`` and the keyword knobs, which is what makes pooled sweeps
-    byte-identical to the in-process reference. A non-empty
-    ``coding_backend`` activates that GF kernel first (the executor passes
-    it so spawn-pool workers re-resolve the parent's choice); the record
-    always carries the name that actually ran. Backends are byte-identical,
-    so this is execution metadata, not a measurement knob.
+    byte-identical to the in-process reference.
     """
-    if coding_backend:
-        coding_backends.use_backend(coding_backend)
     started = time.perf_counter()
     outcome, setup, fired_bo, fired_client = _run_cell(
         scenario, point, max_steps=max_steps,
@@ -804,7 +818,6 @@ def execute_cell(
         client_crashes=fired_client,
         wall_clock_s=wall_clock_s,
         worker=worker,
-        coding_backend=coding_backends.get_backend().name,
     )
 
 
@@ -828,7 +841,7 @@ class KeyspaceRecord:
     sums each shard's Theorem 1 floor evaluated at that shard's realized
     write concurrency, and ``floor_violations`` counts shards whose peak
     fell below their own floor (0 everywhere or the sweep fails).
-    ``wall_clock_s``/``worker``/``coding_backend`` are execution metadata
+    ``wall_clock_s``/``worker`` are execution metadata
     exactly as on :class:`SweepRecord` (stripped by
     ``to_json(include_timing=False)``).
     """
@@ -862,7 +875,6 @@ class KeyspaceRecord:
     steps: int
     wall_clock_s: float = 0.0
     worker: int = 0
-    coding_backend: str = ""
 
 
 def keyspace_grid(
@@ -911,18 +923,13 @@ def execute_keyspace_cell(
     max_steps: int = 400_000,
     audit_storage_every: int = 0,
     worker: int = 0,
-    coding_backend: str = "",
 ) -> KeyspaceRecord:
     """Run one keyspace cell and flatten it into its sweep record.
 
     Like :func:`execute_cell`, every field except the execution metadata
     is a pure function of ``(spec, knobs)`` — the pooled keyspace sweep
-    is byte-identical to the ``workers=1`` one because of this (a non-empty
-    ``coding_backend`` selects the GF kernel, which is byte-identical
-    across backends).
+    is byte-identical to the ``workers=1`` one because of this.
     """
-    if coding_backend:
-        coding_backends.use_backend(coding_backend)
     started = time.perf_counter()
     outcome = run_keyspace(
         spec, max_steps=max_steps,
@@ -961,7 +968,6 @@ def execute_keyspace_cell(
         steps=outcome.total_actions,
         wall_clock_s=wall_clock_s,
         worker=worker,
-        coding_backend=coding_backends.get_backend().name,
     )
 
 
@@ -971,7 +977,9 @@ class KeyspaceSweepResult(RecordTable):
     contract as :class:`SweepResult`)."""
 
     RECORD = KeyspaceRecord
-    VERSION = 2  # 2 added the coding_backend metadata field
+    # Held at 2 when a metadata field was dropped, so the pinned
+    # timing-stripped documents stay byte-identical.
+    VERSION = 2
     COLUMNS = (
         "skew", "register", "keys", "shards", "max_shard_c",
         "aggregate_peak_bo_state_bits", "aggregate_peak_storage_bits",

@@ -126,10 +126,10 @@ def cmd_lowerbound(args: argparse.Namespace) -> int:
     )
     print(format_table(
         ["fired", "|F|", "|C+|", "storage(bits)", "lemma3 bound",
-         "thm1 bound", "writes completed"],
+         "min(f,c)·D/2", "writes completed"],
         [[outcome.fired, outcome.frozen_count, outcome.c_plus_count,
           outcome.storage_bits, outcome.lemma3_bound_bits,
-          outcome.theorem1_bound_bits, outcome.writes_completed]],
+          outcome.asymptotic_bound_bits, outcome.writes_completed]],
     ))
     ok = (
         outcome.fired != "none"
@@ -389,10 +389,6 @@ def cmd_status(args: argparse.Namespace) -> int:
     print(f"storage (Definition 2, at rest): {view.server_storage_bits} bits"
           f" | thm1 floor (c=1): {floor} bits | "
           + ("OK" if view.meets_thm1_floor else "BELOW FLOOR"))
-    from repro.coding import backends as coding_backends
-
-    print(f"coding backend: {coding_backends.get_backend().name} "
-          f"(available: {', '.join(coding_backends.available_backends())})")
     faults = daemon.fault_plan_summary(args.state_dir)
     if faults is not None:
         print(f"fault plan: {faults}")

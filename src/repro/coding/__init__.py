@@ -20,22 +20,8 @@ Public surface:
   pass for a burst of live oracles — and its runner-side twin
   :class:`~repro.coding.oracles.BatchEncodePlan`, which pre-encodes a
   write wave before any oracle exists.
-* :mod:`~repro.coding.backends` — the pluggable kernel registry under
-  ``gf_matmul``: :func:`~repro.coding.backends.available_backends`,
-  :func:`~repro.coding.backends.use_backend`,
-  :func:`~repro.coding.backends.get_backend`, and the
-  ``REPRO_CODING_BACKEND`` environment override. All backends are
-  byte-identical; selection is purely an execution knob.
 """
 
-from repro.coding.backends import (
-    CodingBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-    reset_backend,
-    use_backend,
-)
 from repro.coding.gf256 import gf_matmul
 from repro.coding.oracles import (
     BatchEncodePlan,
@@ -57,7 +43,6 @@ __all__ = [
     "BatchEncodePlan",
     "BlockSource",
     "CodeBlock",
-    "CodingBackend",
     "CodingScheme",
     "DecodeOracle",
     "DecodeShareCache",
@@ -65,15 +50,10 @@ __all__ = [
     "MDSCodingScheme",
     "PaddedScheme",
     "RatelessXorCode",
-    "available_backends",
-    "get_backend",
     "gf_matmul",
     "padded_size",
     "prime_encode_oracles",
-    "register_backend",
-    "reset_backend",
     "ReedSolomonCode",
     "ReplicationCode",
-    "use_backend",
     "XorParityCode",
 ]

@@ -14,10 +14,9 @@ Three interfaces are provided:
 * the batch engine (:func:`gf_matmul`), a full GF(2^8) matrix product
   backed by a precomputed 256 x 256 multiplication table (64 KB), which
   turns whole-codeword and batched encodes/decodes into a handful of
-  table gathers. This is the hot path under every coding scheme; the
-  actual kernel is pluggable via :mod:`repro.coding.backends`
-  (``numpy-nibble`` default, ``numpy-table`` reference, optional
-  ``numba``), all byte-identical.
+  table gathers. This is the hot path under every coding scheme; its
+  one kernel packs nibble-composed lookup tables 16 output rows wide
+  (see the section comment above :func:`gf_matmul`).
 
 Addition in GF(2^8) is XOR; no helper is needed beyond ``^`` /
 ``np.bitwise_xor``.
@@ -27,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.coding.lru import LRUCache
 from repro.errors import ParameterError
 
 #: The field modulus: x^8 + x^4 + x^3 + x + 1.
@@ -97,9 +97,9 @@ def _build_mul_table() -> np.ndarray:
 _MUL_TABLE = _build_mul_table()
 
 #: Default column-tile width for :func:`gf_matmul`. The kernel's working set
-#: per inner step is ~17 bytes/column (8-byte packed accumulator + 8-byte
-#: gather scratch + 1 source byte), so 16 Ki columns keeps the streaming set
-#: near 272 KiB — inside L2 on every target we run on. Without tiling, a
+#: per inner step is ~41 bytes/column (16-byte packed accumulator, 16-byte
+#: gather scratch, 8-byte ``intp`` index, 1 source byte), so 16 Ki columns
+#: keeps the streaming set near 656 KiB. Without tiling, a
 #: batch-stacked operand (batch x shard bytes columns) falls out of L2 around
 #: batch 16-32 and throughput drops ~30% (see ROADMAP's perf trajectory).
 TILE_COLUMNS = 1 << 14
@@ -200,6 +200,165 @@ def gf_addmul_bytes(accumulator: np.ndarray, scalar: int, data: np.ndarray) -> N
     np.bitwise_xor(accumulator, _MUL_TABLE[scalar][data], out=accumulator)
 
 
+# ------------------------------------------------------------ the kernel
+#
+# The ISA-L / vpshufb nibble decomposition, translated to numpy. Every
+# byte splits as ``x == (x & 0xF0) ^ (x & 0x0F)``, and GF(2^8)
+# multiplication is GF(2)-linear, so for any coefficient ``c``::
+#
+#     c * x == c * (x & 0xF0)  ^  c * (x & 0x0F)
+#
+# SIMD code exploits this at gather time: two 16-entry shuffles per byte
+# instead of one 256-entry lookup, because 16 entries fit a vector
+# register. numpy's gather (``np.take``) has no register-resident mode;
+# measured on this kernel, a 16-entry table gathers no faster than a
+# 256-entry one, so two gathers per byte would halve throughput. The
+# decomposition still pays one level up: it builds the *packed* LUTs.
+# Each output-row group of up to 16 needs a 256-entry table of 16-byte
+# lanes; rather than packing 256 columns of the product table, we pack
+# two 16-entry nibble tables (high: ``c * (h << 4)``, low: ``c * l``) and
+# compose all 256 entries as their outer XOR.
+#
+# The gather loop wins on three measured effects (see docs/CODING.md):
+#
+# * ``mode="clip"`` -- a ``uint8`` index never exceeds 255, so clipping
+#   against a 256-entry axis is a no-op, and numpy's clip path skips the
+#   per-element bounds check that dominates ``mode="raise"`` gathers;
+# * pre-cast ``intp`` indices -- ``np.copyto(..., casting="unsafe")`` into
+#   a reused ``intp`` buffer moves the index widening out of the gather;
+# * 16-byte lanes -- LUT entries are viewed as ``complex128`` (the only
+#   16-byte numpy itemsize), so one gather multiplies a byte by 16 group
+#   coefficients. XOR accumulation runs on ``uint64`` views of the same
+#   buffers, so lane packing is endian-agnostic.
+#
+# Packed LUTs depend only on the coefficient matrix, which encoders reuse
+# across every value (RS generators, decode inverses, rateless
+# selections), so whole plans are memoised by the matrix bytes.
+
+#: Output rows packed per LUT entry (the complex128 itemsize).
+LANES = 16
+
+#: Memoised per-matrix plans: (shape, bytes) -> [(start, end, active, luts)].
+#: 64 plans bound worst-case residency near 8 MB.
+PLAN_CACHE_LIMIT = 64
+
+_PLAN_CACHE = LRUCache()
+
+
+def _group_luts(coefficients: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """Pack one row-group's LUTs: ``(len(active), 256)`` ``complex128``.
+
+    Entry ``[i, x]`` holds, per lane ``g``, the product
+    ``coefficients[g, active[i]] * x``, composed from the two 16-entry
+    nibble tables.
+    """
+    group_size = coefficients.shape[0]
+    # (group_size, len(active), 256) products for the active columns only.
+    products = _MUL_TABLE[coefficients[:, active]]
+    low = np.zeros((active.size, 16, LANES), dtype=np.uint8)
+    high = np.zeros((active.size, 16, LANES), dtype=np.uint8)
+    low[:, :, :group_size] = products[:, :, :16].transpose(1, 2, 0)
+    high[:, :, :group_size] = products[:, :, ::16].transpose(1, 2, 0)
+    low_words = low.view(np.uint64)    # (active, 16, 2)
+    high_words = high.view(np.uint64)
+    # Outer XOR composes entry x = (h << 4) ^ l at flat position 16h + l.
+    packed = np.bitwise_xor(
+        high_words[:, :, None, :], low_words[:, None, :, :]
+    )
+    return packed.reshape(active.size, 512).view(np.complex128)
+
+
+def _plan(a: np.ndarray) -> list:
+    """Return (memoised) per-group packed LUTs for coefficient matrix ``a``."""
+    key = (a.shape, a.tobytes())
+    plan = _PLAN_CACHE.lookup(key)
+    if plan is not None:
+        return plan
+    rows = a.shape[0]
+    plan = []
+    for group_start in range(0, rows, LANES):
+        group_end = min(group_start + LANES, rows)
+        coefficients = a[group_start:group_end, :]
+        active = np.flatnonzero(coefficients.any(axis=0))
+        luts = _group_luts(coefficients, active) if active.size else None
+        plan.append((group_start, group_end, active, luts))
+    _PLAN_CACHE.store(key, plan, PLAN_CACHE_LIMIT)
+    return plan
+
+
+def _single_row(a: np.ndarray, b: np.ndarray, tile: int) -> np.ndarray:
+    """One output row: no packing -- clip-mode gathers from table rows."""
+    width = b.shape[1]
+    result = np.zeros((1, width), dtype=np.uint8)
+    out_row = result[0]
+    coefficients = a[0].tolist()
+    if not any(coefficients):
+        return result
+    index_buffer = np.empty(tile, dtype=np.intp)
+    scratch = np.empty(tile, dtype=np.uint8)
+    for start in range(0, width, tile):
+        stop = min(start + tile, width)
+        span = stop - start
+        out_tile = out_row[start:stop]
+        index = index_buffer[:span]
+        scratch_tile = scratch[:span]
+        for i, coefficient in enumerate(coefficients):
+            if coefficient == 0:
+                continue
+            source = b[i, start:stop]
+            if coefficient == 1:
+                np.bitwise_xor(out_tile, source, out=out_tile)
+                continue
+            np.copyto(index, source, casting="unsafe")
+            np.take(
+                _MUL_TABLE[coefficient], index, out=scratch_tile, mode="clip"
+            )
+            np.bitwise_xor(out_tile, scratch_tile, out=out_tile)
+    return result
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, tile: int) -> np.ndarray:
+    """The kernel behind :func:`gf_matmul`, on operands it validated."""
+    rows = a.shape[0]
+    width = b.shape[1]
+    tile = min(tile, width)
+    if rows == 1:
+        return _single_row(a, b, tile)
+    result = np.empty((rows, width), dtype=np.uint8)
+    index_buffer = np.empty(tile, dtype=np.intp)
+    scratch_buffer = np.empty(tile * LANES, dtype=np.uint8)
+    acc_buffer = np.empty(tile * LANES, dtype=np.uint8)
+    for group_start, group_end, active, luts in _plan(a):
+        if luts is None:
+            result[group_start:group_end] = 0
+            continue
+        group_size = group_end - group_start
+        for start in range(0, width, tile):
+            stop = min(start + tile, width)
+            span = stop - start
+            packed = acc_buffer[: span * LANES]
+            acc_complex = packed.view(np.complex128)
+            acc_words = packed.view(np.uint64)
+            scratch_complex = scratch_buffer[: span * LANES].view(
+                np.complex128
+            )
+            scratch_words = scratch_buffer[: span * LANES].view(np.uint64)
+            index = index_buffer[:span]
+            for position, i in enumerate(active):
+                np.copyto(index, b[i, start:stop], casting="unsafe")
+                if position == 0:
+                    # First term gathers straight into the accumulator.
+                    np.take(luts[0], index, out=acc_complex, mode="clip")
+                    continue
+                np.take(
+                    luts[position], index, out=scratch_complex, mode="clip"
+                )
+                np.bitwise_xor(acc_words, scratch_words, out=acc_words)
+            lanes = packed.reshape(span, LANES)
+            result[group_start:group_end, start:stop] = lanes[:, :group_size].T
+    return result
+
+
 def gf_matmul(
     a: np.ndarray, b: np.ndarray, *, tile_columns: int | None = None
 ) -> np.ndarray:
@@ -210,15 +369,11 @@ def gf_matmul(
     ``w`` = shard bytes (times the batch size), one call encodes a whole
     codeword (or a whole batch of codewords).
 
-    This is a validated dispatch boundary, not the kernel: dtype, shape,
-    and tile checks happen exactly once here, then the product is computed
-    by the active :mod:`repro.coding.backends` kernel (``numpy-nibble`` by
-    default; ``numpy-table`` is the reference; ``numba`` registers when
-    importable — all CI-asserted byte-identical, so the choice is purely
-    an execution knob). Kernels therefore run no per-tile revalidation.
+    Dtype, shape and tile checks happen exactly once here, so the kernel
+    runs no per-tile revalidation.
 
     Wide products are processed in column tiles of ``tile_columns``
-    (default :data:`TILE_COLUMNS`) so each kernel's packed accumulator and
+    (default :data:`TILE_COLUMNS`) so the kernel's packed accumulator and
     gather scratch stay resident in L2 even when ``w`` is a whole batch of
     stacked codewords. Any positive ``tile_columns`` produces identical
     output — the parameter exists for tests and tuning.
@@ -226,8 +381,6 @@ def gf_matmul(
     Inputs may be read-only or non-contiguous. Shape or dtype mismatches
     (or a non-positive ``tile_columns``) raise :class:`ParameterError`.
     """
-    from repro.coding import backends
-
     a = _require_uint8(a, "a")
     b = _require_uint8(b, "b")
     if a.ndim != 2 or b.ndim != 2:
@@ -246,7 +399,7 @@ def gf_matmul(
     width = b.shape[1]
     if width == 0 or rows == 0:
         return np.zeros((rows, width), dtype=np.uint8)
-    return backends.get_backend().matmul(a, b, tile)
+    return _matmul(a, b, tile)
 
 
 def gf_poly_eval(coefficients: list[int], x: int) -> int:

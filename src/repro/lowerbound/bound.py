@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Type
 
+from repro.analysis.bounds import lemma3_bound_bits
 from repro.lowerbound.adversary import AdAdversary, AdSnapshot, compute_snapshot
 from repro.registers.base import RegisterProtocol, RegisterSetup
 from repro.sim.kernel import Simulation
@@ -53,14 +54,14 @@ class LowerBoundOutcome:
     @property
     def lemma3_bound_bits(self) -> int:
         """min((f+1) * ell, c * (D - ell + 1)) — the guaranteed storage."""
-        return min(
-            (self.f + 1) * self.ell_bits,
-            self.concurrency * (self.data_bits - self.ell_bits + 1),
+        return lemma3_bound_bits(
+            self.f, self.concurrency, self.data_bits, self.ell_bits
         )
 
     @property
-    def theorem1_bound_bits(self) -> int:
-        """min(f, c) * D / 2 — the headline Omega(min(f, c) * D) at ell=D/2."""
+    def asymptotic_bound_bits(self) -> int:
+        """min(f, c) * D / 2 — the shape of Omega(min(f, c) * D); Theorem 1
+        itself is :func:`repro.analysis.bounds.theorem1_bound_bits`."""
         return min(self.f, self.concurrency) * self.data_bits // 2
 
     @property

@@ -40,7 +40,6 @@ from repro.errors import (
     DaemonError,
     JournalError,
     NotRunningError,
-    ParameterError,
 )
 from repro.msgnet import protocol
 from repro.service.client import probe
@@ -342,20 +341,6 @@ def run_doctor(
     def check(name: str, ok: bool, detail: str) -> bool:
         checks.append((name, ok, detail))
         return ok
-
-    # First so it always renders, cluster or no cluster: which GF kernel
-    # this process (and any server it spawns) would encode with. Fails
-    # only when REPRO_CODING_BACKEND names an unregistered backend.
-    try:
-        from repro.coding import backends as coding_backends
-
-        check(
-            "coding backend", True,
-            f"{coding_backends.get_backend().name} (available: "
-            f"{', '.join(coding_backends.available_backends())})",
-        )
-    except ParameterError as error:
-        check("coding backend", False, str(error))
 
     if not check("state dir", state.root.is_dir(), str(state.root)):
         return checks

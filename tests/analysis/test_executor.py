@@ -8,6 +8,7 @@ firing records included — and that reference is pinned by a golden hash.
 
 import hashlib
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -132,40 +133,6 @@ class TestMetadataStripping:
         # With timing included they differ — metadata is still recorded.
         assert relabelled.to_json() != serial_reference.to_json()
         assert '"worker"' in serial_reference.to_json()
-
-
-class TestBackendThreading:
-    """``coding_backend`` pins the GF kernel everywhere — parent, pool
-    workers, and the record metadata — without changing the results."""
-
-    @pytest.fixture(autouse=True)
-    def _restore_backend(self):
-        from repro.coding import get_backend, use_backend
-
-        original = get_backend().name
-        yield
-        use_backend(original)
-
-    def test_records_carry_the_active_backend(self, serial_reference):
-        from repro.coding import get_backend
-
-        assert {r.coding_backend for r in serial_reference.records} == \
-            {get_backend().name}
-
-    def test_pinned_backend_reaches_pool_workers(self, serial_reference):
-        pooled = run_sweep(GRID, scenarios=SCENARIOS, workers=2,
-                           coding_backend="numpy-table")
-        assert {r.coding_backend for r in pooled.records} == \
-            {"numpy-table"}
-        # Backend choice is execution metadata: measured fields match the
-        # default-backend serial reference byte for byte.
-        assert pooled.to_json(include_timing=False) == \
-            serial_reference.to_json(include_timing=False)
-
-    def test_unknown_backend_rejected_before_any_work(self):
-        with pytest.raises(ParameterError, match="coding backend"):
-            run_sweep(GRID, scenarios=SCENARIOS,
-                      coding_backend="no-such-kernel")
 
 
 class TestChunking:
@@ -362,6 +329,28 @@ class TestCheckpointJournal:
         with pytest.raises(CheckpointError, match="outside"):
             journal.load()
 
+    def test_resume_of_journal_with_unknown_record_field_raises(
+        self, tmp_path, serial_reference
+    ):
+        """A checkpoint whose records carry a field ``SweepRecord`` no
+        longer has (``coding_backend``, written before the kernel
+        registry was removed) is refused, not silently resumed."""
+        checkpoint = self._checkpoint(tmp_path)
+        cells = sweep_cells(GRID, SCENARIOS)
+        journal = SweepJournal(
+            checkpoint, sweep_signature(cells, **ENGINE_KNOBS), len(cells)
+        )
+        journal.open_for_append()
+        record = dict(asdict(serial_reference.records[0]),
+                      coding_backend="numpy-nibble")
+        journal._write_record(
+            json.dumps({"cell": 0, "record": record}).encode()
+        )
+        journal.close()
+        with pytest.raises(CheckpointError, match="coding_backend"):
+            run_sweep(GRID, scenarios=SCENARIOS, checkpoint=checkpoint,
+                      resume=True)
+
     def test_not_a_journal_raises(self, tmp_path):
         checkpoint = self._checkpoint(tmp_path)
         checkpoint.write_text('{"some": "other json"}\n')
@@ -390,8 +379,6 @@ class TestSweepSignature:
 
     def test_record_round_trips_through_journal_json(self,
                                                      serial_reference):
-        from dataclasses import asdict
-
         record = serial_reference.records[-1]
         rebuilt = SweepRecord(**json.loads(json.dumps(asdict(record))))
         assert rebuilt == record

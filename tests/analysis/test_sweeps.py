@@ -1,8 +1,15 @@
 """Tests for the regime-sweep engine, its scenario axis, and overlays."""
 
+import json
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.analysis import (
+    RECORD_METADATA_FIELDS,
+    KeyspaceSweepResult,
     Scenario,
     SweepGrid,
     SweepPoint,
@@ -36,6 +43,14 @@ class TestBounds:
         # f-arm: (f+1) D/2; c-arm: c (D/2 + 1).
         assert theorem1_bound_bits(f=3, c=100, data_bits=384) == 4 * 192
         assert theorem1_bound_bits(f=100, c=2, data_bits=384) == 2 * 193
+
+    def test_theorem1_is_defined_once(self):
+        """Every Theorem 1 figure comes from the one closed form."""
+        sources = Path(repro.__file__).parent.rglob("*.py")
+        assert sum(
+            path.read_text().count("def theorem1_bound_bits")
+            for path in sources
+        ) == 1
 
     def test_disintegrated_strengthens_theorem1(self):
         for f in range(1, 8):
@@ -370,3 +385,46 @@ class TestSweepResultIO:
         assert {row.c for row in rows} == {1, 2, 4}
         series = small_result.series(register="adaptive", f=2)
         assert [x for x, _ in series] == [1, 2, 4]
+
+
+@pytest.mark.parametrize("table", [SweepResult, KeyspaceSweepResult],
+                         ids=["sweep", "keyspace"])
+class TestRecordFieldGuard:
+    """A current-version document whose records do not match the record
+    type is refused with a :class:`ParameterError` naming the fields."""
+
+    @staticmethod
+    def document(table, record):
+        return json.dumps({"version": table.VERSION, "records": [record]})
+
+    @staticmethod
+    def full_record(table):
+        return {field.name: 0 for field in fields(table.RECORD)}
+
+    def test_record_with_coding_backend_is_refused(self, table):
+        """Full documents saved while the kernel registry existed carry
+        a ``coding_backend`` key."""
+        record = dict(self.full_record(table), coding_backend="numpy-nibble")
+        with pytest.raises(
+            ParameterError,
+            match=r"unexpected fields \['coding_backend'\], "
+                  r"missing fields \[\]",
+        ):
+            table.from_json(self.document(table, record))
+
+    def test_record_missing_a_field_is_refused(self, table):
+        record = self.full_record(table)
+        del record["seed"]
+        with pytest.raises(
+            ParameterError,
+            match=r"unexpected fields \[\], missing fields \['seed'\]",
+        ):
+            table.from_json(self.document(table, record))
+
+    def test_timing_stripped_record_loads(self, table):
+        record = self.full_record(table)
+        for name in RECORD_METADATA_FIELDS:
+            del record[name]
+        [loaded] = table.from_json(self.document(table, record)).records
+        assert loaded.worker == 0
+

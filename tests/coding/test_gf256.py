@@ -1,11 +1,22 @@
-"""Field-axiom and table-consistency tests for GF(2^8) arithmetic."""
+"""Field-axiom and table-consistency tests for GF(2^8) arithmetic, and
+``gf_matmul`` against a scalar reference that shares none of the
+kernel's table packing."""
+
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.coding import gf256
+from repro.coding import (
+    PaddedScheme,
+    RatelessXorCode,
+    ReedSolomonCode,
+    ReplicationCode,
+    XorParityCode,
+    gf256,
+)
 from repro.errors import ParameterError
 
 field_elements = st.integers(min_value=0, max_value=255)
@@ -311,6 +322,147 @@ class TestMatmulTiling:
         a = np.ones((2, 2), dtype=np.uint8)
         with pytest.raises(ParameterError, match="tile_columns"):
             gf256.gf_matmul(a, a, tile_columns=0)
+
+
+def reference_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """O(rows * inner * width) scalar reference for ``gf_matmul``."""
+    rows, inner = a.shape
+    width = b.shape[1]
+    out = np.zeros((rows, width), dtype=np.uint8)
+    for r in range(rows):
+        for i in range(inner):
+            coefficient = int(a[r, i])
+            if coefficient == 0:
+                continue
+            out[r] ^= np.frombuffer(
+                bytes(gf256.gf_mul(coefficient, int(x)) for x in b[i]),
+                dtype=np.uint8,
+            )
+    return out
+
+
+def random_operands(rng, rows, inner, width):
+    a = rng.integers(0, 256, size=(rows, inner), dtype=np.uint8)
+    b = rng.integers(0, 256, size=(inner, width), dtype=np.uint8)
+    return a, b
+
+
+SHAPES = (
+    (1, 1, 1),          # minimal
+    (1, 16, 1000),      # single row (dedicated kernel path)
+    (3, 5, 97),         # nothing aligned to anything
+    (16, 16, 4096),     # exactly one 16-row group
+    (17, 16, 1000),     # one full group + a 1-row tail group
+    (32, 16, 4096),     # RS(16, 32) encode shape
+    (8, 4, gf256.TILE_COLUMNS + 5),  # wider than one tile
+)
+
+SCHEME_SIZE = 64
+
+
+def five_schemes():
+    """(scheme, encode indices, decode subset) for all five families.
+
+    Rateless has no ``n`` and decodes from whatever masks happen to be
+    independent, so it keeps every block; the MDS schemes decode from
+    the last ``min_blocks_to_decode`` indices (all-parity for RS).
+    """
+    return (
+        (ReedSolomonCode(k=4, n=8, data_size_bytes=SCHEME_SIZE),
+         range(8), (4, 5, 6, 7)),
+        (XorParityCode(k=4, data_size_bytes=SCHEME_SIZE),
+         range(5), (1, 2, 3, 4)),
+        (RatelessXorCode(k=4, data_size_bytes=SCHEME_SIZE, seed=1),
+         range(8), tuple(range(8))),
+        (ReplicationCode(data_size_bytes=SCHEME_SIZE, n=3), range(3), (2,)),
+        (PaddedScheme(
+            SCHEME_SIZE - 3, k=4,
+            inner_factory=lambda padded_bytes: ReedSolomonCode(
+                k=4, n=8, data_size_bytes=padded_bytes
+            ),
+        ), range(8), (4, 5, 6, 7)),
+    )
+
+
+class TestMatmulParity:
+    """``gf_matmul`` is byte-identical to :func:`reference_matmul`."""
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_scalar_reference(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        a, b = random_operands(rng, *shape)
+        assert gf256.gf_matmul(a, b).tobytes() == \
+            reference_matmul(a, b).tobytes()
+
+    @pytest.mark.parametrize("tile", (1, 7, 97, 4096))
+    def test_tile_size_never_changes_bytes(self, tile):
+        rng = np.random.default_rng(tile)
+        a, b = random_operands(rng, 20, 8, 1000)
+        assert gf256.gf_matmul(a, b, tile_columns=tile).tobytes() == \
+            reference_matmul(a, b).tobytes()
+
+    def test_degenerate_coefficients(self):
+        """All-zero rows, identity rows, and repeated rows hit the
+        kernel's skip/copy fast paths."""
+        rng = np.random.default_rng(5)
+        b = rng.integers(0, 256, size=(4, 333), dtype=np.uint8)
+        a = np.zeros((6, 4), dtype=np.uint8)
+        a[1] = (1, 0, 0, 0)          # pure copy
+        a[2] = (1, 1, 1, 1)          # pure XOR
+        a[3] = (0, 7, 0, 0)          # single multiply
+        a[4] = a[3]                  # repeated row
+        assert gf256.gf_matmul(a, b).tobytes() == \
+            reference_matmul(a, b).tobytes()
+
+    def test_empty_operands_short_circuit(self):
+        assert gf256.gf_matmul(
+            np.zeros((3, 4), dtype=np.uint8),
+            np.zeros((4, 0), dtype=np.uint8),
+        ).shape == (3, 0)
+        assert gf256.gf_matmul(
+            np.zeros((0, 4), dtype=np.uint8),
+            np.zeros((4, 9), dtype=np.uint8),
+        ).shape == (0, 9)
+
+    def test_readonly_and_noncontiguous_operands(self):
+        rng = np.random.default_rng(11)
+        a, b = random_operands(rng, 8, 8, 600)
+        a.setflags(write=False)
+        b_strided = np.ascontiguousarray(b.T).T  # non-C-contiguous view
+        assert gf256.gf_matmul(a, b_strided).tobytes() == \
+            reference_matmul(a, b).tobytes()
+
+    def test_validation_errors(self):
+        good = np.zeros((2, 2), dtype=np.uint8)
+        with pytest.raises(ParameterError, match="uint8"):
+            gf256.gf_matmul(good.astype(np.uint16), good)
+        with pytest.raises(ParameterError, match="2-D"):
+            gf256.gf_matmul(good, np.zeros(4, dtype=np.uint8))
+        with pytest.raises(ParameterError, match="shape"):
+            gf256.gf_matmul(good, np.zeros((3, 5), dtype=np.uint8))
+        with pytest.raises(ParameterError, match="tile_columns"):
+            gf256.gf_matmul(good, good, tile_columns=0)
+
+    def test_plan_cache_is_bounded_and_evicted_plans_recompute(self):
+        rng = np.random.default_rng(13)
+        first, b = random_operands(rng, 3, 4, 50)
+        expected = reference_matmul(first, b)
+        assert gf256.gf_matmul(first, b).tobytes() == expected.tobytes()
+        for number in range(gf256.PLAN_CACHE_LIMIT + 5):
+            a = rng.integers(0, 256, size=(3, 4), dtype=np.uint8)
+            a[0, :2] = divmod(number, 256)  # each matrix is distinct
+            gf256.gf_matmul(a, b)
+        assert len(gf256._PLAN_CACHE) <= gf256.PLAN_CACHE_LIMIT
+        assert (first.shape, first.tobytes()) not in gf256._PLAN_CACHE
+        assert gf256.gf_matmul(first, b).tobytes() == expected.tobytes()
+        assert (first.shape, first.tobytes()) in gf256._PLAN_CACHE
+
+    def test_five_schemes_round_trip(self):
+        for scheme, indices, subset in five_schemes():
+            value = os.urandom(scheme.data_size_bytes)
+            blocks = scheme.encode_many(value, indices)
+            decoded = scheme.decode({i: blocks[i] for i in subset})
+            assert decoded == value, scheme.name
 
 
 class TestPolyEval:

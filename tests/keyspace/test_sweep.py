@@ -76,7 +76,6 @@ class TestByteIdentity:
         assert loaded.to_json(include_timing=False) == \
             serial_reference.to_json(include_timing=False)
         document = json.loads(path.read_text())
-        # v2 added the coding_backend execution-metadata field.
         assert document["version"] == 2
 
 

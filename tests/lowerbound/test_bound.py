@@ -38,7 +38,7 @@ class TestLemma3Fires:
         """At ell = D/2 the Lemma 3 bound instantiates to min(f,c) D/2."""
         outcome = run_lower_bound_experiment(CodedOnlyRegister, SETUP,
                                              concurrency=c)
-        assert outcome.storage_bits >= outcome.theorem1_bound_bits
+        assert outcome.storage_bits >= outcome.asymptotic_bound_bits
 
 
 class TestCorollary1:
@@ -106,7 +106,7 @@ class TestOutcomeAccessors:
         assert outcome.lemma3_bound_bits == min(
             (SETUP.f + 1) * ell, 4 * (d - ell + 1)
         )
-        assert outcome.theorem1_bound_bits == min(SETUP.f, 4) * d // 2
+        assert outcome.asymptotic_bound_bits == min(SETUP.f, 4) * d // 2
 
     def test_snapshot_attached(self):
         outcome = run_lower_bound_experiment(CodedOnlyRegister, SETUP,

@@ -30,12 +30,6 @@ def normalize(text: str, state_dir, tokens: dict[str, str]) -> str:
     text = re.sub(r"[ \t]+", " ", text)  # table padding varies with pids
     text = re.sub(r"-{2,}", "--", text)  # ruler width varies with pids
     text = re.sub(r"\b\d+s ago\b", "AGE ago", text)  # last-seen ages
-    # The active/registered backend set varies with the environment
-    # (numba registers only where installed, REPRO_CODING_BACKEND may
-    # override), so the backend report collapses to stable placeholders.
-    text = re.sub(
-        r"\S+ \(available: [^)]+\)", "BACKEND (available: BACKENDS)", text
-    )
     return "\n".join(line.rstrip() for line in text.splitlines()) + "\n"
 
 

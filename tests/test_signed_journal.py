@@ -31,7 +31,6 @@ RECORD = SweepRecord(
     adaptive_bound_bits=3456, disintegrated_bits=1152, lrc_floor_bits=768,
     scenario="churn+crash", padded=False, completed_reads=4, bo_crashes=1,
     client_crashes=1, wall_clock_s=0.012345, worker=2,
-    coding_backend="numpy-nibble",
 )
 
 #: Size of a record head: body length, crc32(body), crc32(first 8 bytes).
@@ -101,7 +100,7 @@ class SweepCodec:
     )
     golden_entry = (3, RECORD)
     golden_record_sha256 = (
-        "26c591bc7c400db56c5840d68c401aced7ae1ef6b2d1104c5e92165b3aa1fd31"
+        "1c315c1fce2be3465f9e8a36f79c55152a8b133e03a68e107a75998e5c535c7f"
     )
     jsonl_header = (
         b'{"journal": "repro-sweep-journal", "journal_version": 1, '
