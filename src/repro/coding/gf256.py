@@ -15,8 +15,9 @@ Three interfaces are provided:
   backed by a precomputed 256 x 256 multiplication table (64 KB), which
   turns whole-codeword and batched encodes/decodes into a handful of
   table gathers. This is the hot path under every coding scheme; its
-  one kernel packs nibble-composed lookup tables 16 output rows wide
-  (see the section comment above :func:`gf_matmul`).
+  one kernel packs nibble-composed lookup tables up to 16 output rows
+  wide, each lane as wide as its row group (see the kernel's section
+  comment).
 
 Addition in GF(2^8) is XOR; no helper is needed beyond ``^`` /
 ``np.bitwise_xor``.
@@ -97,11 +98,13 @@ def _build_mul_table() -> np.ndarray:
 _MUL_TABLE = _build_mul_table()
 
 #: Default column-tile width for :func:`gf_matmul`. The kernel's working set
-#: per inner step is ~41 bytes/column (16-byte packed accumulator, 16-byte
-#: gather scratch, 8-byte ``intp`` index, 1 source byte), so 16 Ki columns
-#: keeps the streaming set near 656 KiB. Without tiling, a
-#: batch-stacked operand (batch x shard bytes columns) falls out of L2 around
-#: batch 16-32 and throughput drops ~30% (see ROADMAP's perf trajectory).
+#: per inner step is ``2 * lane + 1`` bytes/column (lane-wide packed
+#: accumulator and gather scratch, 1 source byte) plus the 8-byte ``intp``
+#: index, so 16 Ki columns keep the streaming set at 656 KiB for 16-byte
+#: lanes and 272 KiB for the 4-byte lanes of a 4-row group. Without tiling,
+#: a batch-stacked operand (batch x shard bytes columns) falls out of L2
+#: around batch 16-32 and throughput drops ~30% (see ROADMAP's perf
+#: trajectory).
 TILE_COLUMNS = 1 << 14
 
 
@@ -182,15 +185,26 @@ def gf_mul_bytes(scalar: int, data: np.ndarray) -> np.ndarray:
     if scalar == 0:
         return np.zeros(data.shape, dtype=np.uint8)
     if scalar == 1:
-        return np.array(data, dtype=np.uint8)
+        return np.array(data, dtype=np.uint8, order="C")
     # Single gather in the scalar's table row; never writes into `data`.
-    return _MUL_TABLE[scalar][data]
+    # A fancy-index result follows its index's layout, so index C-order.
+    return _MUL_TABLE[scalar][np.asarray(data, order="C")]
 
 
 def gf_addmul_bytes(accumulator: np.ndarray, scalar: int, data: np.ndarray) -> None:
-    """In-place ``accumulator ^= scalar * data`` over GF(2^8)."""
+    """In-place ``accumulator ^= scalar * data`` over GF(2^8).
+
+    Both operands must be ``uint8`` arrays of the same shape; a dtype or
+    shape mismatch raises :class:`ParameterError` (``data`` is never
+    broadcast).
+    """
     accumulator = _require_uint8(accumulator, "accumulator")
     data = _require_uint8(data, "data")
+    if accumulator.shape != data.shape:
+        raise ParameterError(
+            f"accumulator shape {accumulator.shape} does not match "
+            f"data shape {data.shape}"
+        )
     _check_scalar(scalar)
     if scalar == 0:
         return
@@ -214,58 +228,87 @@ def gf_addmul_bytes(accumulator: np.ndarray, scalar: int, data: np.ndarray) -> N
 # measured on this kernel, a 16-entry table gathers no faster than a
 # 256-entry one, so two gathers per byte would halve throughput. The
 # decomposition still pays one level up: it builds the *packed* LUTs.
-# Each output-row group of up to 16 needs a 256-entry table of 16-byte
-# lanes; rather than packing 256 columns of the product table, we pack
-# two 16-entry nibble tables (high: ``c * (h << 4)``, low: ``c * l``) and
-# compose all 256 entries as their outer XOR.
+# Each output-row group of up to 16 needs a 256-entry table with one
+# lane per row; rather than packing 256 columns of the product table, we
+# pack two 16-entry nibble tables (high: ``c * (h << 4)``, low:
+# ``c * l``) and compose all 256 entries as their outer XOR.
 #
 # The gather loop wins on three measured effects (see docs/CODING.md):
 #
 # * ``mode="clip"`` -- a ``uint8`` index never exceeds 255, so clipping
 #   against a 256-entry axis is a no-op, and numpy's clip path skips the
 #   per-element bounds check that dominates ``mode="raise"`` gathers;
-# * pre-cast ``intp`` indices -- ``np.copyto(..., casting="unsafe")`` into
-#   a reused ``intp`` buffer moves the index widening out of the gather;
-# * 16-byte lanes -- LUT entries are viewed as ``complex128`` (the only
-#   16-byte numpy itemsize), so one gather multiplies a byte by 16 group
-#   coefficients. XOR accumulation runs on ``uint64`` views of the same
-#   buffers, so lane packing is endian-agnostic.
+# * one ``intp`` index buffer per call -- ``np.take`` converts any other
+#   index type into a fresh ``intp`` array on every gather, so the row
+#   slice is widened with ``np.copyto(..., casting="unsafe")`` into a
+#   reused buffer instead;
+# * lanes as wide as the group -- a LUT entry holds one byte per group
+#   row, rounded up to 1, 2, 4, 8 or 16 bytes and gathered as the numpy
+#   type of that itemsize (``complex128`` is the only 16-byte one), so one
+#   gather multiplies a byte by every coefficient of the group and a
+#   4-row group moves 4 bytes per data byte, not 16. XOR accumulation
+#   runs on unsigned views of the same buffers (``uint64`` for 16-byte
+#   lanes), so lane packing is endian-agnostic.
 #
 # Packed LUTs depend only on the coefficient matrix, which encoders reuse
 # across every value (RS generators, decode inverses, rateless
 # selections), so whole plans are memoised by the matrix bytes.
 
-#: Output rows packed per LUT entry (the complex128 itemsize).
+#: Most output rows packed per LUT entry (the complex128 itemsize).
 LANES = 16
 
-#: Memoised per-matrix plans: (shape, bytes) -> [(start, end, active, luts)].
-#: 64 plans bound worst-case residency near 8 MB.
+#: Lane width in bytes -> (gather type, XOR type). Each gather type is
+#: the numpy type of that itemsize; 16-byte lanes XOR as two uint64s.
+_LANE_TYPES = {
+    1: (np.uint8, np.uint8),
+    2: (np.uint16, np.uint16),
+    4: (np.uint32, np.uint32),
+    8: (np.uint64, np.uint64),
+    16: (np.complex128, np.uint64),
+}
+
+#: Memoised per-matrix plans: (shape, bytes) -> [(start, end, active,
+#: luts)], each LUT array typed by its lane. A group's LUTs take
+#: ``active x 256 x lane`` bytes: 128 KiB per plan of a 32 x 16
+#: RS(16, 32) generator, 4 KiB for the 4 x 4 parity block of RS(4, 8).
+#: 64 plans of the former stay near 8 MB.
 PLAN_CACHE_LIMIT = 64
 
 _PLAN_CACHE = LRUCache()
 
 
-def _group_luts(coefficients: np.ndarray, active: np.ndarray) -> np.ndarray:
-    """Pack one row-group's LUTs: ``(len(active), 256)`` ``complex128``.
+def _lane_width(group_size: int) -> int:
+    """The narrowest lane of 1, 2, 4, 8 or 16 bytes holding the group."""
+    lane = 1
+    while lane < group_size:
+        lane *= 2
+    return lane
 
-    Entry ``[i, x]`` holds, per lane ``g``, the product
+
+def _group_luts(coefficients: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """Pack one row-group's LUTs: ``(len(active), 256)`` lanes.
+
+    Entry ``[i, x]`` holds, at byte ``g`` of its lane, the product
     ``coefficients[g, active[i]] * x``, composed from the two 16-entry
-    nibble tables.
+    nibble tables. The lane is :func:`_lane_width` bytes wide and the
+    result has that width's gather type.
     """
     group_size = coefficients.shape[0]
+    lane = _lane_width(group_size)
+    gather_type, xor_type = _LANE_TYPES[lane]
     # (group_size, len(active), 256) products for the active columns only.
     products = _MUL_TABLE[coefficients[:, active]]
-    low = np.zeros((active.size, 16, LANES), dtype=np.uint8)
-    high = np.zeros((active.size, 16, LANES), dtype=np.uint8)
+    low = np.zeros((active.size, 16, lane), dtype=np.uint8)
+    high = np.zeros((active.size, 16, lane), dtype=np.uint8)
     low[:, :, :group_size] = products[:, :, :16].transpose(1, 2, 0)
     high[:, :, :group_size] = products[:, :, ::16].transpose(1, 2, 0)
-    low_words = low.view(np.uint64)    # (active, 16, 2)
-    high_words = high.view(np.uint64)
+    low_words = low.view(xor_type)    # (active, 16, words per lane)
+    high_words = high.view(xor_type)
     # Outer XOR composes entry x = (h << 4) ^ l at flat position 16h + l.
     packed = np.bitwise_xor(
         high_words[:, :, None, :], low_words[:, None, :, :]
     )
-    return packed.reshape(active.size, 512).view(np.complex128)
+    return packed.reshape(active.size, -1).view(gather_type)
 
 
 def _plan(a: np.ndarray) -> list:
@@ -324,37 +367,40 @@ def _matmul(a: np.ndarray, b: np.ndarray, tile: int) -> np.ndarray:
     tile = min(tile, width)
     if rows == 1:
         return _single_row(a, b, tile)
+    # Only a tail group can be shorter than the first, so its lane is widest.
+    widest = _lane_width(min(rows, LANES))
     result = np.empty((rows, width), dtype=np.uint8)
     index_buffer = np.empty(tile, dtype=np.intp)
-    scratch_buffer = np.empty(tile * LANES, dtype=np.uint8)
-    acc_buffer = np.empty(tile * LANES, dtype=np.uint8)
+    scratch_buffer = np.empty(tile * widest, dtype=np.uint8)
+    acc_buffer = np.empty(tile * widest, dtype=np.uint8)
     for group_start, group_end, active, luts in _plan(a):
         if luts is None:
             result[group_start:group_end] = 0
             continue
+        lane = luts.itemsize
+        xor_type = _LANE_TYPES[lane][1]
         group_size = group_end - group_start
         for start in range(0, width, tile):
             stop = min(start + tile, width)
             span = stop - start
-            packed = acc_buffer[: span * LANES]
-            acc_complex = packed.view(np.complex128)
-            acc_words = packed.view(np.uint64)
-            scratch_complex = scratch_buffer[: span * LANES].view(
-                np.complex128
-            )
-            scratch_words = scratch_buffer[: span * LANES].view(np.uint64)
+            packed = acc_buffer[: span * lane]
+            acc_lanes = packed.view(luts.dtype)
+            acc_words = packed.view(xor_type)
+            scratch = scratch_buffer[: span * lane]
+            scratch_lanes = scratch.view(luts.dtype)
+            scratch_words = scratch.view(xor_type)
             index = index_buffer[:span]
             for position, i in enumerate(active):
                 np.copyto(index, b[i, start:stop], casting="unsafe")
                 if position == 0:
                     # First term gathers straight into the accumulator.
-                    np.take(luts[0], index, out=acc_complex, mode="clip")
+                    np.take(luts[0], index, out=acc_lanes, mode="clip")
                     continue
                 np.take(
-                    luts[position], index, out=scratch_complex, mode="clip"
+                    luts[position], index, out=scratch_lanes, mode="clip"
                 )
                 np.bitwise_xor(acc_words, scratch_words, out=acc_words)
-            lanes = packed.reshape(span, LANES)
+            lanes = packed.reshape(span, lane)
             result[group_start:group_end, start:stop] = lanes[:, :group_size].T
     return result
 

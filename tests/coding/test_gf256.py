@@ -193,6 +193,28 @@ class TestInputValidation:
         result = gf256.gf_mul_bytes(9, data)
         assert list(result) == [gf256.gf_mul(9, int(v)) for v in data]
 
+    def test_mul_bytes_returns_c_order_for_fortran_input(self):
+        data = np.asfortranarray(np.arange(12, dtype=np.uint8).reshape(3, 4))
+        assert not data.flags.c_contiguous
+        for scalar in (0, 1, 7):
+            result = gf256.gf_mul_bytes(scalar, data)
+            assert result.flags.c_contiguous, scalar
+            assert result.tolist() == [
+                [gf256.gf_mul(scalar, int(v)) for v in row] for row in data
+            ]
+
+    def test_addmul_bytes_rejects_shape_mismatch(self):
+        accumulator = np.zeros(4, dtype=np.uint8)
+        for data in (
+            np.array([7], dtype=np.uint8),          # broadcastable
+            np.array([1, 2, 3], dtype=np.uint8),    # not broadcastable
+            np.zeros((4, 1), dtype=np.uint8),
+        ):
+            for scalar in (0, 1, 3):
+                with pytest.raises(ParameterError, match="shape"):
+                    gf256.gf_addmul_bytes(accumulator, scalar, data)
+        assert not accumulator.any()
+
     def test_addmul_bytes_rejects_wrong_accumulator_dtype(self):
         with pytest.raises(ParameterError, match="accumulator"):
             gf256.gf_addmul_bytes(
@@ -224,7 +246,7 @@ class TestMatmul:
                 assert int(product[i, j]) == expected
 
     def test_wide_product_spans_multiple_lane_groups(self):
-        # 20 rows forces the packed kernel across three uint64 groups.
+        # 20 rows: a 16-row group (16-byte lanes) and a 4-row tail (4-byte).
         rng = np.random.default_rng(7)
         a = rng.integers(0, 256, (20, 5), dtype=np.uint8)
         b = rng.integers(0, 256, (5, 33), dtype=np.uint8)
@@ -270,13 +292,15 @@ class TestMatmul:
         assert gf256.gf_matmul(a, b).shape == (3, 0)
 
     def test_all_zero_row_group(self):
-        # A group of >= 8 all-zero output rows must short-circuit to zeros.
-        a = np.zeros((10, 3), dtype=np.uint8)
-        a[9, 0] = 5
+        # A 16-row group with no active column is planned without LUTs and
+        # short-circuits to zeros; the 4-row tail group is still computed.
+        a = np.zeros((20, 3), dtype=np.uint8)
+        a[19, 0] = 5
         b = np.arange(9, dtype=np.uint8).reshape(3, 3)
+        assert gf256._plan(a)[0][3] is None
         product = gf256.gf_matmul(a, b)
-        assert not product[:8].any()
-        assert product[9].any()
+        assert not product[:19].any()
+        assert product[19].tolist() == [gf256.gf_mul(5, v) for v in (0, 1, 2)]
 
 
 class TestMatmulTiling:
@@ -350,9 +374,16 @@ def random_operands(rng, rows, inner, width):
 SHAPES = (
     (1, 1, 1),          # minimal
     (1, 16, 1000),      # single row (dedicated kernel path)
+    (2, 3, 501),        # 2-byte lanes
     (3, 5, 97),         # nothing aligned to anything
+    (4, 4, 1000),       # RS(4, 8) parity block: 4-byte lanes
+    (5, 6, 333),        # one row past a 4-byte lane: 8-byte lanes
+    (8, 8, 777),        # a full 8-byte lane
+    (9, 7, 555),        # one row past an 8-byte lane: 16-byte lanes
     (16, 16, 4096),     # exactly one 16-row group
     (17, 16, 1000),     # one full group + a 1-row tail group
+    (20, 9, 999),       # 16 + a 4-row tail group
+    (33, 12, 640),      # 16 + 16 + a 1-row tail group
     (32, 16, 4096),     # RS(16, 32) encode shape
     (8, 4, gf256.TILE_COLUMNS + 5),  # wider than one tile
 )
@@ -402,8 +433,9 @@ class TestMatmulParity:
             reference_matmul(a, b).tobytes()
 
     def test_degenerate_coefficients(self):
-        """All-zero rows, identity rows, and repeated rows hit the
-        kernel's skip/copy fast paths."""
+        """All-zero rows, identity rows, and repeated rows. The packed
+        kernel's only fast path is skipping all-zero coefficient columns;
+        the other rows go through the packed LUTs like any other."""
         rng = np.random.default_rng(5)
         b = rng.integers(0, 256, size=(4, 333), dtype=np.uint8)
         a = np.zeros((6, 4), dtype=np.uint8)
@@ -413,6 +445,22 @@ class TestMatmulParity:
         a[4] = a[3]                  # repeated row
         assert gf256.gf_matmul(a, b).tobytes() == \
             reference_matmul(a, b).tobytes()
+
+    @pytest.mark.parametrize(
+        "group_size, lane",
+        ((1, 1), (2, 2), (3, 4), (4, 4), (5, 8), (8, 8), (9, 16), (16, 16)),
+    )
+    def test_plan_packs_each_group_at_the_narrowest_lane(
+        self, group_size, lane
+    ):
+        rng = np.random.default_rng(group_size)
+        a = rng.integers(1, 256, size=(gf256.LANES + group_size, 3),
+                         dtype=np.uint8)
+        (_, _, _, full), (start, end, active, tail) = gf256._plan(a)
+        assert full.itemsize == gf256.LANES
+        assert (start, end) == (gf256.LANES, gf256.LANES + group_size)
+        assert tail.shape == (3, 256) and tail.itemsize == lane
+        assert active.tolist() == [0, 1, 2]
 
     def test_empty_operands_short_circuit(self):
         assert gf256.gf_matmul(
